@@ -3,16 +3,16 @@
 Everything in this package is brute force by design; these caps keep the
 exponential sweeps from being invoked on instances they cannot finish.
 Each bound can be overridden by setting the corresponding environment
-variable to an integer, e.g. ``ESAKIA_POSET_BOUND=7``.
+variable to a non-negative integer, e.g. ``ESAKIA_POSET_BOUND=7``.
 """
 
 import os
 
+from .errors import BoundSettingError
+
 _DEFAULTS = {
     # largest n for enumerate_posets(n)
     "ESAKIA_POSET_BOUND": 6,
-    # largest point count for literal all-subsets topology checks
-    "ESAKIA_LITERAL_BOUND": 10,
     # largest lattice carrier for the subset-scan nucleus oracle
     "ESAKIA_ORACLE_BOUND": 16,
     # largest n for enumerate_topologies(n)
@@ -28,15 +28,13 @@ def _get(name: str) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return _DEFAULTS[name]
+    if not raw.strip().isdecimal():
+        raise BoundSettingError(f"{name}={raw!r} is not a non-negative integer")
     return int(raw)
 
 
 def poset_bound() -> int:
     return _get("ESAKIA_POSET_BOUND")
-
-
-def literal_bound() -> int:
-    return _get("ESAKIA_LITERAL_BOUND")
 
 
 def oracle_bound() -> int:

@@ -3,20 +3,22 @@
 Every verb reads models as JSON, either from a file path or inline (an
 argument starting with ``{`` or ``[`` is parsed as JSON directly), and
 writes deterministic JSON or DOT to stdout.  Exit codes: 0 success,
-2 usage error, 3 unreadable or malformed JSON, 4 invalid model,
-5 size bound exceeded.
+2 usage error (including an ``ESAKIA_*`` bound that is not a non-negative
+integer), 3 unreadable or malformed JSON, 4 invalid model, 5 size bound
+exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import dot
 from .duality import dual_space, phi_table, unit_counit_check
-from .errors import ModelError, SizeBoundError
+from .errors import BoundSettingError, ModelError, SizeBoundError
 from .lattices import (
     FiniteLattice,
     is_scattered_frame,
@@ -42,6 +44,7 @@ from .spatial import (
 from .sweeps import run_poset_suite, run_topology_suite
 
 EXIT_OK = 0
+EXIT_USAGE = 2
 EXIT_BAD_JSON = 3
 EXIT_BAD_MODEL = 4
 EXIT_BOUND = 5
@@ -75,6 +78,20 @@ def _space_arg(arg: str):
     if isinstance(data, dict) and "points" in data and "opens" in data:
         return FiniteSpace.from_json_dict(data)
     raise ModelError("expected a space object with points and opens")
+
+
+def _report_json(report) -> dict:
+    """A report dataclass as JSON: every field not marked
+    ``metadata={"json": False}``, plus every property."""
+    out = {
+        f.name: getattr(report, f.name)
+        for f in dataclasses.fields(report)
+        if f.metadata.get("json", True)
+    }
+    for name, attr in vars(type(report)).items():
+        if isinstance(attr, property):
+            out[name] = getattr(report, name)
+    return out
 
 
 def _emit(obj) -> None:
@@ -175,7 +192,7 @@ def _cmd_space(args) -> int:
         "sober": is_sober(space),
         "t0_reflection_points": list(t0_reflection(space)[0].points),
         "soberification_matches_reflection": sob.matches_t0_reflection,
-        "scatter": report.to_json_dict(),
+        "scatter": _report_json(report),
         "open_frame_scattered": is_scattered_frame(frame),
     }
     _emit(out)
@@ -194,13 +211,13 @@ def _check_lattice(args) -> dict:
     checks: dict[str, dict] = {}
     if "duality" in wanted:
         rep = unit_counit_check(lat)
-        checks["duality"] = rep.to_json_dict()
+        checks["duality"] = _report_json(rep)
     if "boolean" in wanted:
         rep = is_assembly_boolean(lat)
         bool_check = assembly_booleanization_check(lat)
         checks["boolean"] = {
-            "assembly": rep.to_json_dict(),
-            "booleanization": bool_check.to_json_dict(),
+            "assembly": _report_json(rep),
+            "booleanization": _report_json(bool_check),
             "frame_scattered": is_scattered_frame(lat),
             "ok": rep.ok and bool_check.ok,
         }
@@ -210,9 +227,9 @@ def _check_lattice(args) -> dict:
         gr = gamma_report(lat)
         essential = all(essential_primes_dual(lat, a).ok for a in range(lat.n))
         checks["spatial"] = {
-            "report": rep.to_json_dict(),
-            "join_primes": jp.to_json_dict(),
-            "gamma": gr.to_json_dict(),
+            "report": _report_json(rep),
+            "join_primes": _report_json(jp),
+            "gamma": _report_json(gr),
             "essential_primes_agree": essential,
             "ok": rep.ok and jp.ok and gr.ok and essential,
         }
@@ -221,7 +238,7 @@ def _check_lattice(args) -> dict:
         checks["wdecomp"] = {"ok": ok}
     if "tower" in wanted:
         result = tower(lat, k=2)
-        checks["tower"] = result.to_json_dict()
+        checks["tower"] = _report_json(result)
     return {
         "model": "lattice",
         "checks": checks,
@@ -239,10 +256,10 @@ def _check_space(args) -> dict:
     checks: dict[str, dict] = {}
     if "simmons" in wanted:
         rep = simmons_isbell_report(space)
-        checks["simmons"] = rep.to_json_dict()
+        checks["simmons"] = _report_json(rep)
     if "compactification" in wanted:
         rep = compactification_check(space)
-        checks["compactification"] = rep.to_json_dict()
+        checks["compactification"] = _report_json(rep)
     return {
         "model": "space",
         "checks": checks,
@@ -264,7 +281,7 @@ def _cmd_sweep(args) -> int:
         summary = run_poset_suite(args.n, args.suite)
     else:
         summary = run_topology_suite(args.n, args.suite)
-    _emit(summary.to_json_dict())
+    _emit(_report_json(summary))
     return EXIT_OK if summary.ok else 1
 
 
@@ -372,6 +389,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BoundSettingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except SizeBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND

@@ -2,9 +2,7 @@
 
 A finite lattice's dual space carries the discrete (Stone/Priestley)
 topology, so every subset is clopen and the whole structure is the poset
-of prime filters under inclusion.  The classical separation axioms are
-still checked literally on construction: they are constantly true here,
-and the point of running them is that the code paths are the definitions.
+of prime filters under inclusion.
 """
 
 from __future__ import annotations
@@ -12,18 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import lattices
-from .bounds import literal_bound
 from .errors import LatticeError
 from .lattices import FiniteLattice, birkhoff_lattice
-from .posets import (
-    FinitePoset,
-    down_closure,
-    find_isomorphism,
-    is_upset,
-    iter_bits,
-    up_closure,
-    upset_masks,
-)
+from .posets import FinitePoset, down_closure, find_isomorphism, upset_masks
 
 __all__ = [
     "EsakiaSpaceFin",
@@ -46,7 +35,7 @@ class EsakiaSpaceFin:
     from a bare poset.
     """
 
-    __slots__ = ("poset", "filters", "source", "topology", "literal_checks_run")
+    __slots__ = ("poset", "filters", "source")
 
     def __init__(
         self,
@@ -57,54 +46,14 @@ class EsakiaSpaceFin:
         self.poset = poset
         self.filters = filters
         self.source = source
-        self.topology = "discrete"
-        if not self._priestley_separated():
-            raise LatticeError("Priestley separation failed")  # unreachable: upsets separate
-        self.literal_checks_run = poset.n <= literal_bound()
-        if self.literal_checks_run:
-            if not self.esakia_condition_ok():
-                raise LatticeError("Esakia condition failed")
-            if not self.extremally_order_disconnected_ok():
-                raise LatticeError("extremal order-disconnectedness failed")
 
     @property
     def n(self) -> int:
         return self.poset.n
 
-    def _priestley_separated(self) -> bool:
-        # x not<= y must be witnessed by a clopen upset; the principal
-        # upset at x is one, but scan all upsets anyway when tiny
-        p = self.poset
-        for x in range(p.n):
-            for y in range(p.n):
-                if x != y and not p.leq_i(x, y):
-                    u = p.up_mask(x)
-                    if not (u >> x & 1 and not u >> y & 1 and is_upset(p, u)):
-                        return False
-        return True
-
     def clopen_masks(self) -> range:
         """Every subset is clopen in the discrete topology."""
         return range(1 << self.poset.n)
-
-    def esakia_condition_ok(self) -> bool:
-        """Down-closures of clopens are clopen, checked subset by subset."""
-        full = self.poset.full_mask
-        for u in self.clopen_masks():
-            d = down_closure(self.poset, u)
-            if d < 0 or d > full:
-                return False
-        return True
-
-    def extremally_order_disconnected_ok(self) -> bool:
-        """Closures of open upsets are clopen; closure is the identity here."""
-        full = self.poset.full_mask
-        for u in self.clopen_masks():
-            if not is_upset(self.poset, u):
-                continue
-            if u < 0 or u > full:
-                return False
-        return True
 
     def __repr__(self) -> str:
         return f"EsakiaSpaceFin({self.poset.n} points, discrete)"
@@ -207,19 +156,6 @@ class DualityReport:
     counit_order_iso: bool
     base_matches_dual: bool
     details: tuple[str, ...] = field(default_factory=tuple)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "phi_bijective": self.phi_bijective,
-            "phi_preserves_bounds": self.phi_preserves_bounds,
-            "phi_preserves_meet": self.phi_preserves_meet,
-            "phi_preserves_join": self.phi_preserves_join,
-            "phi_preserves_imp": self.phi_preserves_imp,
-            "counit_order_iso": self.counit_order_iso,
-            "base_matches_dual": self.base_matches_dual,
-            "details": list(self.details),
-        }
 
 
 def unit_counit_check(lattice: FiniteLattice) -> DualityReport:

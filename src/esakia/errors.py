@@ -3,7 +3,8 @@
 The CLI maps these onto distinct process exit codes, so keep the split:
 ModelError subclasses mean "the input object is mathematically invalid",
 SizeBoundError means "the requested computation is outside the configured
-exhaustive-search bounds".
+exhaustive-search bounds", BoundSettingError means "an ``ESAKIA_*`` bound
+variable is not a non-negative integer".
 """
 
 
@@ -37,3 +38,8 @@ class SpaceError(ModelError):
 
 class SizeBoundError(EsakiaError):
     """Instance too large for an exhaustive check; bounds are env-tunable."""
+
+
+class BoundSettingError(EsakiaError):
+    """An ``ESAKIA_*`` bound variable holds something other than a
+    non-negative integer."""

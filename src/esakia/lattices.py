@@ -47,7 +47,6 @@ __all__ = [
     "complement_of",
     "is_boolean",
     "booleanization",
-    "points_space",
     "lattice_from_json_dict",
 ]
 
@@ -269,18 +268,6 @@ class LatticeReport:
     problems: tuple[str, ...]
     witness: tuple[str, ...] | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "is_poset": self.is_poset,
-            "has_meets": self.has_meets,
-            "has_joins": self.has_joins,
-            "bounded": self.bounded,
-            "distributive": self.distributive,
-            "problems": list(self.problems),
-            "witness": list(self.witness) if self.witness else None,
-        }
-
 
 def validate_order(
     elements: Sequence[str], relation: Iterable[tuple[str, str]]
@@ -369,8 +356,6 @@ def birkhoff_lattice(poset: FinitePoset) -> FiniteLattice:
 def lattice_from_json_dict(data: object) -> FiniteLattice:
     if not isinstance(data, dict):
         raise LatticeError("lattice JSON must be an object")
-    if "from_poset" in data:
-        return birkhoff_lattice(FinitePoset.from_json_dict(data["from_poset"]))
     elements = data.get("elements")
     leq = data.get("leq", [])
     if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
@@ -654,23 +639,3 @@ def booleanization(lattice: FiniteLattice) -> Booleanization:
     back = {a: i for i, a in enumerate(reg)}
     project = tuple(back[lattice.neg(lattice.neg(a))] for a in range(lattice.n))
     return Booleanization(sub, image_mask, project, tuple(reg))
-
-
-# -- the space of points -------------------------------------------------------
-
-
-def points_space(lattice: FiniteLattice):
-    """The completely prime filters as a topological space, with opens the
-    images of lattice elements."""
-    from .spaces import FiniteSpace  # runtime import; spaces builds on this module
-
-    pts = points(lattice)
-    names = [f"x_{lattice.labels[f.generator]}" for f in pts]
-    opens = set()
-    for a in range(lattice.n):
-        m = 0
-        for k, f in enumerate(pts):
-            if f.members >> a & 1:
-                m |= 1 << k
-        opens.add(m)
-    return FiniteSpace(names, sorted(opens))

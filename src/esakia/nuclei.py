@@ -10,10 +10,9 @@ the test suite rather than collapsed into one implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from . import lattices
-from .bounds import assembly_bound, literal_bound, oracle_bound, tower_bound
+from .bounds import assembly_bound, oracle_bound, tower_bound
 from .duality import EsakiaSpaceFin, dual_space, phi_inverse, phi_table
 from .errors import NucleusError, SizeBoundError
 from .lattices import (
@@ -48,7 +47,6 @@ __all__ = [
     "nuclei_meet",
     "nuclei_join",
     "nuclear_sets_meet",
-    "nuclear_sets_meet_literal",
     "enumerate_nuclei_oracle",
     "fixpoint_frame",
     "w_decomposition_check",
@@ -77,15 +75,6 @@ class NucleusReport:
     idempotent: bool
     preserves_meet: bool
     witness: tuple[str, ...] | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "inflationary": self.inflationary,
-            "idempotent": self.idempotent,
-            "preserves_meet": self.preserves_meet,
-            "witness": list(self.witness) if self.witness else None,
-        }
 
 
 def validate_nucleus(lattice: FiniteLattice, values: tuple[int, ...]) -> NucleusReport:
@@ -123,7 +112,7 @@ def validate_nucleus(lattice: FiniteLattice, values: tuple[int, ...]) -> Nucleus
 def make_nucleus(lattice: FiniteLattice, values: tuple[int, ...]) -> Nucleus:
     report = validate_nucleus(lattice, values)
     if not report.ok:
-        raise NucleusError(f"not a nucleus: {report.to_json_dict()}")
+        raise NucleusError(f"not a nucleus: {report}")
     return Nucleus(tuple(values))
 
 
@@ -154,22 +143,12 @@ def nucleus_leq(lattice: FiniteLattice, j: Nucleus, k: Nucleus) -> bool:
 # -- nuclear subsets of the dual space --------------------------------------
 
 
-def is_nuclear(space: EsakiaSpaceFin, mask: int, *, allow_finite_shortcut: bool = False) -> bool:
-    """Literal check: the set is closed and down-closures of its clopen
-    traces are clopen.  Constantly true on a finite discrete space, which
-    the shortcut flag acknowledges for spaces above the literal bound."""
+def is_nuclear(space: EsakiaSpaceFin, mask: int) -> bool:
+    """Is the subset nuclear: closed, with the down-closure of each of its
+    clopen traces clopen?  The dual space of a finite lattice is discrete,
+    so every subset is closed and every down-closure is clopen: every
+    subset of the carrier is nuclear, and only the range is checked."""
     space.poset.check_mask(mask)
-    if space.poset.n > literal_bound():
-        if allow_finite_shortcut:
-            return True
-        raise SizeBoundError(
-            f"literal nuclearity check refused for {space.poset.n} points"
-        )
-    full = space.poset.full_mask
-    for u in space.clopen_masks():
-        trace = down_closure(space.poset, u & mask)
-        if trace < 0 or trace > full:
-            return False
     return True
 
 
@@ -217,9 +196,6 @@ class AssemblyFrame:
     def index_of_set(self, mask: int) -> int:
         return self.sets.index(mask)
 
-    def index_of_nucleus(self, j: Nucleus) -> int:
-        return self.nuclei.index(j)
-
 
 def assembly_frame(lattice: FiniteLattice) -> AssemblyFrame:
     """Build the assembly of a finite frame from its nuclear subsets."""
@@ -230,9 +206,8 @@ def assembly_frame(lattice: FiniteLattice) -> AssemblyFrame:
     n = space.poset.n
     if n > assembly_bound():
         raise SizeBoundError(f"assembly over a {n}-point dual space exceeds the bound")
-    sets = tuple(
-        m for m in range(1 << n) if is_nuclear(space, m, allow_finite_shortcut=True)
-    )
+    # the dual space is discrete, so every subset is nuclear (see is_nuclear)
+    sets = tuple(range(1 << n))
     names = [
         "{" + ",".join(space.poset.elements[i] for i in iter_bits(m)) + "}" for m in sets
     ]
@@ -268,28 +243,6 @@ def nuclear_sets_meet(space: EsakiaSpaceFin, masks: list[int]) -> int:
     for m in masks:
         out &= space.poset.check_mask(m)
     return out
-
-
-def nuclear_sets_meet_literal(space: EsakiaSpaceFin, masks: list[int]) -> int:
-    """The closure-of-union formula, executed subset by subset.
-
-    Exponential in the point count, so it is only willing to run on very
-    small spaces; use nuclear_sets_meet for the finite reduction.
-    """
-    n = space.poset.n
-    if n > 4:
-        raise SizeBoundError("literal nuclear meet is capped at 4 points")
-    inter = space.poset.full_mask
-    for m in masks:
-        inter &= space.poset.check_mask(m)
-    union = 0
-    for f in range(1 << n):
-        if f & ~inter:
-            continue
-        if is_nuclear(space, f):
-            union |= f
-    # discrete closure is the identity
-    return union
 
 
 def nuclei_join(lattice: FiniteLattice, space: EsakiaSpaceFin, js: list[Nucleus]) -> Nucleus:
@@ -422,16 +375,6 @@ class AssemblyBooleanReport:
     def ok(self) -> bool:
         return self.agree and self.direct_boolean
 
-    def to_json_dict(self) -> dict:
-        return {
-            "direct_boolean": self.direct_boolean,
-            "nuclear_equals_regular_closed": self.nuclear_equals_regular_closed,
-            "max_of_clopen_downsets_clopen": self.max_of_clopen_downsets_clopen,
-            "scattered_frame": self.scattered_frame,
-            "agree": self.agree,
-            "ok": self.ok,
-        }
-
 
 def _discrete_space(space: EsakiaSpaceFin):
     from .spaces import FiniteSpace  # runtime import; spaces builds on this module
@@ -472,14 +415,6 @@ class BooleanizationCheck:
     regular_closed_size: int
     dually_isomorphic: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "booleanization_size": self.booleanization_size,
-            "regular_closed_size": self.regular_closed_size,
-            "dually_isomorphic": self.dually_isomorphic,
-        }
-
 
 def assembly_booleanization_check(lattice: FiniteLattice) -> BooleanizationCheck:
     """The booleanization of the assembly against the regular closed sets,
@@ -513,8 +448,8 @@ def assembly_booleanization_check(lattice: FiniteLattice) -> BooleanizationCheck
 
 @dataclass(frozen=True)
 class TowerResult:
-    stages: tuple[FiniteLattice, ...]
-    embeddings: tuple[tuple[int, ...], ...]
+    stages: tuple[FiniteLattice, ...] = field(metadata={"json": False})
+    embeddings: tuple[tuple[int, ...], ...] = field(metadata={"json": False})
     embeddings_injective: bool
     embeddings_preserve_frame_ops: bool
     complements_ok: bool
@@ -527,14 +462,9 @@ class TowerResult:
             and self.complements_ok
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "sizes": [stage.n for stage in self.stages],
-            "embeddings_injective": self.embeddings_injective,
-            "embeddings_preserve_frame_ops": self.embeddings_preserve_frame_ops,
-            "complements_ok": self.complements_ok,
-            "ok": self.ok,
-        }
+    @property
+    def sizes(self) -> list[int]:
+        return [stage.n for stage in self.stages]
 
 
 def tower(lattice: FiniteLattice, k: int = 2, *, bound: int | None = None) -> TowerResult:

@@ -26,7 +26,6 @@ from .errors import PosetError, SizeBoundError, SubsetError
 __all__ = [
     "FinitePoset",
     "iter_bits",
-    "closure",
     "up_closure",
     "down_closure",
     "maximal_points",
@@ -211,15 +210,6 @@ def down_closure(poset: FinitePoset, mask: int) -> int:
     for i in iter_bits(mask):
         out |= poset._down[i]
     return out
-
-
-def closure(poset: FinitePoset, mask: int, direction: str) -> int:
-    """Up- or down-closure of a subset, by direction name."""
-    if direction == "up":
-        return up_closure(poset, mask)
-    if direction == "down":
-        return down_closure(poset, mask)
-    raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
 
 
 def maximal_points(poset: FinitePoset, mask: int) -> int:

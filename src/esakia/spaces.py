@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import topology_bound
-from .duality import dual_space, phi_table
+from .duality import dual_space
 from .errors import SpaceError, SizeBoundError
 from .lattices import (
     FiniteLattice,
@@ -35,7 +35,7 @@ from .nuclei import (
     validate_nucleus,
 )
 from .posets import FinitePoset, _relation_isomorphism, iter_bits
-from .spatial import front_open_masks
+from .spatial import _front_opens, front_open_masks
 
 __all__ = [
     "FiniteSpace",
@@ -443,23 +443,10 @@ def is_sober(space: FiniteSpace) -> bool:
 
 
 def front_topology(space: FiniteSpace) -> FiniteSpace:
-    """The topology generated by differences of opens.
-
-    Differences are closed under intersection, so closing under union
-    yields the whole generated topology.
-    """
+    """The topology generated by differences of opens."""
     got = space._cache.get("front")
     if got is None:
-        fam = {u & ~v for u in space.opens for v in space.opens}
-        grew = True
-        while grew:
-            grew = False
-            for a in tuple(fam):
-                for b in tuple(fam):
-                    if a | b not in fam:
-                        fam.add(a | b)
-                        grew = True
-        got = FiniteSpace(space.points, fam)
+        got = FiniteSpace(space.points, _front_opens(space.opens))
         space._cache["front"] = got
     return got
 
@@ -542,15 +529,6 @@ class ScatterReport:
     t_d: bool
     t0: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "scattered": self.scattered,
-            "weakly_scattered": self.weakly_scattered,
-            "dispersed": self.dispersed,
-            "t_d": self.t_d,
-            "t0": self.t0,
-        }
-
 
 def scatter_report(space: FiniteSpace) -> ScatterReport:
     """The scatteredness hierarchy, with its exchange laws re-verified
@@ -613,7 +591,7 @@ def delta(space: FiniteSpace, nuclear_mask: int) -> int:
     """Preimage of a nuclear set under eps; front-closed."""
     frame = open_frame(space)
     dual = dual_space(frame)
-    if not is_nuclear(dual, nuclear_mask, allow_finite_shortcut=True):
+    if not is_nuclear(dual, nuclear_mask):
         raise SpaceError("delta expects a nuclear set")
     eps = _eps_to_dual(space)
     out = 0
@@ -646,16 +624,6 @@ class CompactificationReport:
             and self.homeomorphism_onto_image
             and self.image_front_dense
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "factors_through_reflection": self.factors_through_reflection,
-            "injective": self.injective,
-            "front_continuous": self.front_continuous,
-            "homeomorphism_onto_image": self.homeomorphism_onto_image,
-            "image_front_dense": self.image_front_dense,
-            "ok": self.ok,
-        }
 
 
 def compactification_check(space: FiniteSpace) -> CompactificationReport:
@@ -761,29 +729,6 @@ class SimmonsIsbellReport:
             and self.delta_coframe_hom
             and self.sigma_delta_identity
         )
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "weakly_scattered": self.weakly_scattered,
-            "sigma_injective": self.sigma_injective,
-            "sigma_onto_front_opens": self.sigma_onto_front_opens,
-            "sigma_frame_hom": self.sigma_frame_hom,
-            "delta_injective": self.delta_injective,
-            "delta_onto_front_closed": self.delta_onto_front_closed,
-            "delta_coframe_hom": self.delta_coframe_hom,
-            "nonempty_nuclear_hits_space": self.nonempty_nuclear_hits_space,
-            "sigma_delta_identity": self.sigma_delta_identity,
-            "assembly_spatial": self.assembly_spatial,
-            "sober_weakly_scattered": self.sober_weakly_scattered,
-            "assembly_boolean": self.assembly_boolean,
-            "dispersed": self.dispersed,
-            "frame_scattered": self.frame_scattered,
-            "simmons_agree": self.simmons_agree,
-            "isbell_agree": self.isbell_agree,
-            "boolean_agree": self.boolean_agree,
-            "ok": self.ok,
-        }
-        return out
 
 
 def simmons_isbell_report(space: FiniteSpace) -> SimmonsIsbellReport:

@@ -13,10 +13,10 @@ indexing throughout, including subsets of the nuclear-point set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .duality import EsakiaSpaceFin, dual_space, phi_inverse, phi_table
-from .errors import LatticeError, NucleusError
+from .errors import NucleusError
 from .lattices import (
     FiniteLattice,
     essential_primes,
@@ -62,24 +62,24 @@ class PointSet:
         return bin(self.mask).count("1")
 
 
-def front_open_masks(poset: FinitePoset) -> tuple[int, ...]:
-    """Opens of the topology generated by differences of upsets.
+def _front_opens(opens: tuple[int, ...]) -> set[int]:
+    """Opens of the topology generated by differences of the given opens.
 
-    Differences form a base (they are closed under intersection), so
-    closing them under union yields the whole topology.
+    Differences form a base (they are closed under intersection and
+    include the empty set), so the unions of base elements are the whole
+    topology; adding each base element to every set found so far builds
+    every such union in one pass.
     """
-    ups = upset_masks(poset)
-    fam = {u & ~v for u in ups for v in ups}
-    grew = True
-    while grew:
-        grew = False
-        for a in tuple(fam):
-            for b in tuple(fam):
-                u = a | b
-                if u not in fam:
-                    fam.add(u)
-                    grew = True
-    return tuple(sorted(fam))
+    base = {u & ~v for u in opens for v in opens}
+    fam = set(base)
+    for b in base:
+        fam |= {f | b for f in fam}
+    return fam
+
+
+def front_open_masks(poset: FinitePoset) -> tuple[int, ...]:
+    """Opens of the topology generated by differences of upsets."""
+    return tuple(sorted(_front_opens(upset_masks(poset))))
 
 
 def _front_opens_cached(lattice: FiniteLattice, space: EsakiaSpaceFin) -> tuple[int, ...]:
@@ -100,12 +100,10 @@ def nuclear_points(lattice: FiniteLattice) -> PointSet:
     n = space.poset.n
     sing = 0
     for y in range(n):
-        if is_nuclear(space, 1 << y, allow_finite_shortcut=True):
+        if is_nuclear(space, 1 << y):
             sing |= 1 << y
     via_filters = 0
     for f in points(lattice):
-        if not f.completely_prime:
-            raise LatticeError("point filter is not completely prime")  # unreachable
         via_filters |= 1 << space.filters.index(f.members)
     if sing != via_filters:
         raise NucleusError(
@@ -132,7 +130,7 @@ def nuclear_points(lattice: FiniteLattice) -> PointSet:
 def gamma(lattice: FiniteLattice, nuclear_mask: int) -> int:
     """Restrict a nuclear set to the nuclear points."""
     space = dual_space(lattice)
-    if not is_nuclear(space, nuclear_mask, allow_finite_shortcut=True):
+    if not is_nuclear(space, nuclear_mask):
         raise NucleusError("gamma expects a nuclear set")
     return nuclear_mask & nuclear_points(lattice).mask
 
@@ -153,16 +151,6 @@ class GammaReport:
             and self.onto_front_closed
             and self.onto_trace_closed
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "preserves_unions": self.preserves_unions,
-            "preserves_meets": self.preserves_meets,
-            "onto_front_closed": self.onto_front_closed,
-            "onto_trace_closed": self.onto_trace_closed,
-            "meet_families_checked": self.meet_families_checked,
-            "ok": self.ok,
-        }
 
 
 def _front_closed_of_points(lattice: FiniteLattice) -> set[int]:
@@ -244,18 +232,6 @@ class SpatialReport:
     def ok(self) -> bool:
         return self.agree and self.lattice_spatial
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lattice_spatial": self.lattice_spatial,
-            "points_front_dense": self.points_front_dense,
-            "nonempty_nuclear_meets_points": self.nonempty_nuclear_meets_points,
-            "gamma_injective": self.gamma_injective,
-            "gamma_isomorphism": self.gamma_isomorphism,
-            "assembly_spatial": self.assembly_spatial,
-            "agree": self.agree,
-            "ok": self.ok,
-        }
-
 
 def assembly_spatial_report(lattice: FiniteLattice) -> SpatialReport:
     """Evaluate each spatiality criterion independently and compare."""
@@ -280,7 +256,7 @@ def assembly_spatial_report(lattice: FiniteLattice) -> SpatialReport:
 
 @dataclass(frozen=True)
 class JoinPrimeReport:
-    join_primes: tuple[int, ...]
+    join_primes: tuple[int, ...] = field(metadata={"json": False})
     singletons_of_nuclear_points: bool
     point_count: int
     assembly_point_count: int
@@ -290,15 +266,9 @@ class JoinPrimeReport:
     def ok(self) -> bool:
         return self.singletons_of_nuclear_points and self.counts_match
 
-    def to_json_dict(self) -> dict:
-        return {
-            "join_prime_count": len(self.join_primes),
-            "singletons_of_nuclear_points": self.singletons_of_nuclear_points,
-            "point_count": self.point_count,
-            "assembly_point_count": self.assembly_point_count,
-            "counts_match": self.counts_match,
-            "ok": self.ok,
-        }
+    @property
+    def join_prime_count(self) -> int:
+        return len(self.join_primes)
 
 
 def join_primes_of_assembly(lattice: FiniteLattice) -> JoinPrimeReport:

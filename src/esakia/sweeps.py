@@ -45,18 +45,6 @@ class SweepSummary:
     def ok(self) -> bool:
         return self.failures == 0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "suite": self.suite,
-            "instances": self.instances,
-            "passes": self.passes,
-            "failures": self.failures,
-            "first_failure": self.first_failure,
-            "ok": self.ok,
-        }
-
 
 def _check_duality(poset: FinitePoset, lattice: FiniteLattice) -> bool:
     return unit_counit_check(lattice).ok

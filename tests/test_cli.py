@@ -54,7 +54,15 @@ def test_check_space_simmons_ok(capsys):
 def test_check_lattice_tower(capsys):
     code, out = run(capsys, "check", "--lattice", L3, "--tower")
     assert code == 0
-    assert json.loads(out)["checks"]["tower"]["sizes"] == [3, 4, 4]
+    tower = json.loads(out)["checks"]["tower"]
+    assert tower["sizes"] == [3, 4, 4]
+    assert set(tower) == {
+        "sizes",
+        "embeddings_injective",
+        "embeddings_preserve_frame_ops",
+        "complements_ok",
+        "ok",
+    }
 
 
 def test_sweep_verbs(capsys):
@@ -62,6 +70,16 @@ def test_sweep_verbs(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["instances"] == data["passes"] == 5
+    assert set(data) == {
+        "kind",
+        "n",
+        "suite",
+        "instances",
+        "passes",
+        "failures",
+        "first_failure",
+        "ok",
+    }
     code, out = run(capsys, "sweep", "topologies", "--n", "2", "--suite", "simmons")
     assert code == 0
     data = json.loads(out)
@@ -81,6 +99,17 @@ def test_exit_code_invalid_model(capsys):
 
 def test_exit_code_size_bound(capsys):
     assert cli.main(["sweep", "posets", "--n", "40", "--suite", "duality"]) == 5
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_exit_code_bad_bound_variable(capsys, monkeypatch, value):
+    monkeypatch.setenv("ESAKIA_POSET_BOUND", value)
+    assert cli.main(["sweep", "posets", "--n", "3", "--suite", "duality"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: ESAKIA_POSET_BOUND={value!r} is not a non-negative integer\n"
+    )
 
 
 def test_exit_code_usage():

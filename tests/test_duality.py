@@ -57,13 +57,6 @@ def test_phi_turns_implication_into_the_boundary_formula():
             )
 
 
-def test_dual_space_is_esakia():
-    for lat in (lat3(), birkhoff_lattice(FinitePoset.antichain(3))):
-        space = dual_space(lat)
-        assert space.esakia_condition_ok()
-        assert space.extremally_order_disconnected_ok()
-
-
 def test_upset_algebra_recovers_the_lattice():
     lat = lat3()
     up = upset_algebra(dual_space(lat))

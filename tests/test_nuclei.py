@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from esakia.duality import dual_space, phi
-from esakia.errors import NucleusError, SizeBoundError
+from esakia.errors import NucleusError, SizeBoundError, SubsetError
 from esakia.lattices import (
     birkhoff_lattice,
     complement_of,
@@ -25,7 +25,6 @@ from esakia.nuclei import (
     make_v,
     make_w,
     nuclear_sets_meet,
-    nuclear_sets_meet_literal,
     nuclei_join,
     nuclei_meet,
     nucleus_from_json_dict,
@@ -109,6 +108,15 @@ def test_nuclear_set_round_trip():
         assert to_nuclear_set(space, from_nuclear_set(space, mask)) == mask
 
 
+def test_every_subset_is_nuclear_on_an_eleven_point_dual():
+    space = dual_space(birkhoff_lattice(FinitePoset.chain(11)))
+    assert space.n == 11
+    for mask in [0, space.poset.full_mask] + [1 << y for y in range(11)]:
+        assert is_nuclear(space, mask)
+    with pytest.raises(SubsetError):
+        is_nuclear(space, 1 << 11)
+
+
 def test_boundary_nuclei_match_their_point_sets():
     lat = lat3()
     space = dual_space(lat)
@@ -158,7 +166,6 @@ def test_meet_and_join_of_nuclei():
     s2 = to_nuclear_set(space, dneg)
     assert to_nuclear_set(space, nuclei_meet(lat, [um, dneg])) == s1 | s2
     assert nuclear_sets_meet(space, [s1, s2]) == s1 & s2
-    assert nuclear_sets_meet_literal(space, [s1, s2]) == s1 & s2
     assert nuclei_meet(lat, []).values == top_nucleus(lat).values
 
 
