@@ -6,6 +6,14 @@ join-irreducibles under the reversed order), so binary meet and join are
 bitmask intersection and union.  Construction validates the lattice and
 distributive laws; the original labels and order are kept for I/O.
 
+Meets and joins are found by principal-mask lookup: i*j exists iff
+down(i) & down(j) is the down-mask of some element, which is then the
+meet (joins mirror this with up-masks), so a failed lookup is a missing
+bound.  The implication table keeps the sup-based definition, a->b the
+largest x with a*x <= b, solved per row over the fibres of x -> a*x
+(see FiniteLattice.imp); duality.upset_algebra checks every entry
+against the dual-space formula.
+
 Conventions: the top element does not count as meet-prime and the bottom
 does not count as join-irreducible.  An empty meet is the top, an empty
 join is the bottom.  The one-element lattice is accepted everywhere.
@@ -17,12 +25,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import LatticeError, PosetError
-from .posets import (
-    FinitePoset,
-    iter_bits,
-    maximal_points,
-    upset_masks,
-)
+from .posets import FinitePoset, iter_bits, upset_masks
 
 __all__ = [
     "FiniteLattice",
@@ -51,31 +54,39 @@ __all__ = [
 ]
 
 
-def _glb_of_downset(poset: FinitePoset, cand: int) -> int | None:
-    """The greatest element of a downset mask, or None.
+def _bound_tables(
+    poset: FinitePoset,
+) -> tuple[list[list[int | None]], list[list[int | None]]]:
+    """Meet and join tables by principal-mask lookup, None where missing.
 
-    A downset with a unique maximal element is principal, so it suffices
-    to find the maximal points and demand there is exactly one.
+    i*j exists iff down(i) & down(j) is the down-mask of some element,
+    which is then the meet; joins mirror this with up-masks.
     """
-    if not cand:
-        return None
-    top = maximal_points(poset, cand)
-    if top & (top - 1):
-        return None
-    return top.bit_length() - 1
+    down = [poset.down_mask(i) for i in range(poset.n)]
+    up = [poset.up_mask(i) for i in range(poset.n)]
+    glb = {m: g for g, m in enumerate(down)}
+    lub = {m: g for g, m in enumerate(up)}
+    meet_t = [[glb.get(d & e) for e in down] for d in down]
+    join_t = [[lub.get(u & v) for v in up] for u in up]
+    return meet_t, join_t
 
 
-def _lub_of_upset(poset: FinitePoset, cand: int) -> int | None:
-    """The least element of an upset mask, or None (mirror of the above)."""
-    if not cand:
-        return None
-    mins = 0
-    for x in iter_bits(cand):
-        if poset.down_mask(x) & cand == 1 << x:
-            mins |= 1 << x
-    if not mins or mins & (mins - 1):
-        return None
-    return mins.bit_length() - 1
+def _missing_bound(
+    meet_t: list[list[int | None]], join_t: list[list[int | None]]
+) -> tuple[str, int, int] | None:
+    """The first pair (i, j), row by row, without a meet or a join.
+
+    The tables are symmetric, so the first row holding a gap has all its
+    gaps at j >= i, and a meet gap is named before a join gap there.
+    """
+    for i, (mrow, jrow) in enumerate(zip(meet_t, join_t)):
+        if None in mrow or None in jrow:
+            for j in range(i, len(mrow)):
+                if mrow[j] is None:
+                    return "meet", i, j
+                if jrow[j] is None:
+                    return "join", i, j
+    return None
 
 
 class FiniteLattice:
@@ -97,36 +108,23 @@ class FiniteLattice:
         n = poset.n
         if n == 0:
             raise LatticeError("empty carrier cannot be a bounded lattice")
-        meet_t = [[0] * n for _ in range(n)]
-        join_t = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                g = _glb_of_downset(poset, poset.down_mask(i) & poset.down_mask(j))
-                if g is None:
-                    raise LatticeError(
-                        f"no meet for {poset.elements[i]!r} and {poset.elements[j]!r}"
-                    )
-                meet_t[i][j] = meet_t[j][i] = g
-                lub = _lub_of_upset(poset, poset.up_mask(i) & poset.up_mask(j))
-                if lub is None:
-                    raise LatticeError(
-                        f"no join for {poset.elements[i]!r} and {poset.elements[j]!r}"
-                    )
-                join_t[i][j] = join_t[j][i] = lub
+        meet_t, join_t = _bound_tables(poset)
+        missing = _missing_bound(meet_t, join_t)
+        if missing is not None:
+            kind, i, j = missing
+            raise LatticeError(
+                f"no {kind} for {poset.elements[i]!r} and {poset.elements[j]!r}"
+            )
         bot = 0
         top = 0
         for i in range(1, n):
             bot = meet_t[bot][i]
             top = join_t[top][i]
 
-        # join-irreducible iff exactly one lower cover (finite lattices)
-        irr = []
-        for a in range(n):
-            if a == bot:
-                continue
-            lower = maximal_points(poset, poset.down_mask(a) & ~(1 << a))
-            if lower and not lower & (lower - 1):
-                irr.append(a)
+        # join-irreducible iff exactly one lower cover (finite lattices),
+        # i.e. iff the strict downset is principal; the bottom's is empty
+        principal = {poset.down_mask(g) for g in range(n)}
+        irr = [a for a in range(n) if poset.down_mask(a) & ~(1 << a) in principal]
 
         base_labels = [poset.elements[a] for a in irr]
         base_pairs = []
@@ -153,16 +151,11 @@ class FiniteLattice:
                     break
                 of_mask[m] = a
         if ok:
-            for i in range(n):
-                for j in range(n):
-                    if (
-                        of_mask[upset_of[i] & upset_of[j]] != meet_t[i][j]
-                        or of_mask[upset_of[i] | upset_of[j]] != join_t[i][j]
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    break
+            ok = all(
+                [of_mask[u & v] for v in upset_of] == meet_t[i]
+                and [of_mask[u | v] for v in upset_of] == join_t[i]
+                for i, u in enumerate(upset_of)
+            )
         if not ok:
             witness = _distributivity_witness(poset.elements, meet_t, join_t)
             assert witness is not None, "non-distributive lattice without witness triple"
@@ -216,19 +209,39 @@ class FiniteLattice:
         return self.of_mask[mask]
 
     def imp(self, a: int, b: int) -> int:
-        """Heyting implication: the largest x with a*x <= b."""
+        """Heyting implication: the largest x with a*x <= b.
+
+        The table is built row by row from that definition.  In row a the
+        carrier is grouped by the meet a*x, one element mask per value
+        m <= a.  Since a*x <= b iff a*x <= a*b, a->b = a->(a*b), so only
+        the targets k <= a are solved: the x with a*x <= k are the union
+        of the groups of the m <= k, a downset whose generator is a->k.
+        """
         table = self._cache.get("imp")
         if table is None:
+            poset = self.poset
             n = self.n
-            table = [[0] * n for _ in range(n)]
+            down = [poset.down_mask(k) for k in range(n)]
+            below = [list(iter_bits(d)) for d in down]
+            principal = {d: g for g, d in enumerate(down)}
+            table = []
             for i in range(n):
-                row = table[i]
-                for j in range(n):
-                    acc = 0
-                    for x in range(n):
-                        if self.poset.leq_i(self.meet_t[i][x], j):
-                            acc |= self.upset_of[x]
-                    row[j] = self.of_mask[acc]
+                meets = self.meet_t[i]
+                group = [0] * n
+                for x, m in enumerate(meets):
+                    group[m] |= 1 << x
+                solved = {}
+                for k in below[i]:
+                    sat = 0
+                    for m in below[k]:
+                        sat |= group[m]
+                    g = principal.get(sat)
+                    if g is None:
+                        raise LatticeError(  # unreachable
+                            f"no greatest x with {self.labels[i]!r}*x <= {self.labels[k]!r}"
+                        )
+                    solved[k] = g
+                table.append([solved[m] for m in meets])
             self._cache["imp"] = table
         return table[a][b]
 
@@ -285,28 +298,14 @@ def validate_order(
         return LatticeReport(
             False, True, False, False, False, False, ("empty carrier",), None
         )
-    has_meets = True
-    has_joins = True
-    meet_t = [[0] * n for _ in range(n)]
-    join_t = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            g = _glb_of_downset(poset, poset.down_mask(i) & poset.down_mask(j))
-            if g is None:
-                has_meets = False
-                if witness is None:
-                    witness = (elements[i], elements[j])
-                    problems.append(f"no meet for {elements[i]!r}, {elements[j]!r}")
-            else:
-                meet_t[i][j] = g
-            lub = _lub_of_upset(poset, poset.up_mask(i) & poset.up_mask(j))
-            if lub is not None:
-                join_t[i][j] = lub
-            else:
-                has_joins = False
-                if witness is None:
-                    witness = (elements[i], elements[j])
-                    problems.append(f"no join for {elements[i]!r}, {elements[j]!r}")
+    meet_t, join_t = _bound_tables(poset)
+    has_meets = not any(None in row for row in meet_t)
+    has_joins = not any(None in row for row in join_t)
+    missing = _missing_bound(meet_t, join_t)
+    if missing is not None:
+        kind, i, j = missing
+        witness = (elements[i], elements[j])
+        problems.append(f"no {kind} for {elements[i]!r}, {elements[j]!r}")
     bounded = has_meets and has_joins  # folds exist once binary ops do
     distributive = False
     if has_meets and has_joins:
@@ -517,16 +516,22 @@ def points(lattice: FiniteLattice) -> list[Filter]:
 
 
 def is_spatial(lattice: FiniteLattice) -> tuple[bool, tuple[str, str] | None]:
-    """Do points separate a from b whenever a is not below b?"""
+    """Do points separate a from b whenever a is not below b?
+
+    For each a, the b some point containing a leaves out are the union of
+    those points' complements; it must cover every b outside up(a).
+    """
     pts = points(lattice)
+    full = lattice.poset.full_mask
     for a in range(lattice.n):
-        for b in range(lattice.n):
-            if lattice.poset.leq_i(a, b):
-                continue
-            if not any(
-                f.members >> a & 1 and not f.members >> b & 1 for f in pts
-            ):
-                return False, (lattice.labels[a], lattice.labels[b])
+        separated = 0
+        for f in pts:
+            if f.members >> a & 1:
+                separated |= ~f.members
+        unseparated = full & ~lattice.poset.up_mask(a) & ~separated
+        if unseparated:
+            b = (unseparated & -unseparated).bit_length() - 1
+            return False, (lattice.labels[a], lattice.labels[b])
     return True, None
 
 

@@ -129,9 +129,7 @@ def nuclear_points(lattice: FiniteLattice) -> PointSet:
 
 def gamma(lattice: FiniteLattice, nuclear_mask: int) -> int:
     """Restrict a nuclear set to the nuclear points."""
-    space = dual_space(lattice)
-    if not is_nuclear(space, nuclear_mask):
-        raise NucleusError("gamma expects a nuclear set")
+    dual_space(lattice).poset.check_mask(nuclear_mask)
     return nuclear_mask & nuclear_points(lattice).mask
 
 

@@ -3,6 +3,8 @@ import json
 import pytest
 from hypothesis import given
 
+from esakia import duality, lattices
+from esakia.duality import dual_space, upset_algebra
 from esakia.errors import LatticeError
 from esakia.lattices import (
     FiniteLattice,
@@ -25,7 +27,8 @@ from esakia.lattices import (
     validate,
     validate_order,
 )
-from esakia.posets import FinitePoset, iter_bits
+from esakia.posets import FinitePoset, enumerate_posets, iter_bits, maximal_points
+from esakia.spaces import enumerate_topologies, open_frame
 
 from conftest import posets
 
@@ -38,6 +41,82 @@ def lat3() -> FiniteLattice:
 
 def diamond() -> FiniteLattice:
     return birkhoff_lattice(FinitePoset.antichain(2))
+
+
+def glb_of_downset(poset: FinitePoset, cand: int) -> int | None:
+    """The greatest element of a downset mask, or None: a nonempty downset
+    is principal iff it has exactly one maximal point."""
+    if not cand:
+        return None
+    top = maximal_points(poset, cand)
+    if top & (top - 1):
+        return None
+    return top.bit_length() - 1
+
+
+def lub_of_upset(poset: FinitePoset, cand: int) -> int | None:
+    """The least element of an upset mask, or None (mirror of the above)."""
+    if not cand:
+        return None
+    mins = 0
+    for x in iter_bits(cand):
+        if poset.down_mask(x) & cand == 1 << x:
+            mins |= 1 << x
+    if not mins or mins & (mins - 1):
+        return None
+    return mins.bit_length() - 1
+
+
+def oracle_tables(poset: FinitePoset):
+    """Meet and join tables by maximal/minimal point scans, None where the
+    bound is missing."""
+    r = range(poset.n)
+    meet = [
+        [glb_of_downset(poset, poset.down_mask(i) & poset.down_mask(j)) for j in r]
+        for i in r
+    ]
+    join = [
+        [lub_of_upset(poset, poset.up_mask(i) & poset.up_mask(j)) for j in r]
+        for i in r
+    ]
+    return meet, join
+
+
+def oracle_imp(poset: FinitePoset, meet, a: int, b: int) -> int:
+    """The greatest x with a*x <= b, by a scan of the whole carrier."""
+    sat = [x for x in range(poset.n) if poset.leq_i(meet[a][x], b)]
+    greatest = [r for r in sat if all(poset.leq_i(x, r) for x in sat)]
+    assert len(greatest) == 1
+    return greatest[0]
+
+
+def oracle_error(poset: FinitePoset, meet, join) -> str | None:
+    """The LatticeError message the first failing pair or triple predicts."""
+    n = poset.n
+    labels = poset.elements
+    for i in range(n):
+        for j in range(i, n):
+            for kind, table in (("meet", meet), ("join", join)):
+                if table[i][j] is None:
+                    return f"no {kind} for {labels[i]!r} and {labels[j]!r}"
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+                    return (
+                        "not distributive: a*(b+c) != (a*b)+(a*c) for "
+                        f"a={labels[a]!r} b={labels[b]!r} c={labels[c]!r}"
+                    )
+    return None
+
+
+def assert_matches_oracle(lat: FiniteLattice) -> None:
+    meet, join = oracle_tables(lat.poset)
+    assert lat.meet_t == meet
+    assert lat.join_t == join
+    for a in range(lat.n):
+        for b in range(lat.n):
+            assert lat.imp(a, b) == oracle_imp(lat.poset, meet, a, b)
 
 
 def brute_filters(lat: FiniteLattice):
@@ -237,3 +316,93 @@ def test_every_finite_frame_is_scattered_and_spatial(p):
     assert is_scattered_frame(lat)
     ok, _ = is_spatial(lat)
     assert ok
+
+
+def test_tables_match_the_literal_definitions_on_birkhoff_lattices():
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            assert_matches_oracle(birkhoff_lattice(p))
+
+
+def test_tables_match_the_literal_definitions_on_open_frames():
+    for n in range(1, 4):
+        for s in enumerate_topologies(n):
+            assert_matches_oracle(open_frame(s))
+
+
+@given(posets(max_size=5))
+def test_constructor_agrees_with_the_oracle_on_raw_posets(p):
+    meet, join = oracle_tables(p)
+    expected = oracle_error(p, meet, join)
+    if expected is None:
+        assert_matches_oracle(FiniteLattice(p))
+    else:
+        with pytest.raises(LatticeError) as exc:
+            FiniteLattice(p)
+        assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize(
+    "elements, pairs, message, problem, witness",
+    [
+        (
+            ["0", "a", "b"],
+            [("0", "a"), ("0", "b")],
+            "no join for 'a' and 'b'",
+            "no join for 'a', 'b'",
+            ("a", "b"),
+        ),
+        (
+            ["a", "b", "1"],
+            [("a", "1"), ("b", "1")],
+            "no meet for 'a' and 'b'",
+            "no meet for 'a', 'b'",
+            ("a", "b"),
+        ),
+        (
+            ["0", "a", "b", "c", "1"],
+            [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")],
+            "not distributive: a*(b+c) != (a*b)+(a*c) for a='b' b='a' c='c'",
+            "distributivity fails at a='b' b='a' c='c'",
+            ("b", "a", "c"),
+        ),
+    ],
+    ids=["two-maximal", "two-minimal", "n5"],
+)
+def test_non_lattices_keep_their_messages(elements, pairs, message, problem, witness):
+    with pytest.raises(LatticeError) as exc:
+        FiniteLattice(FinitePoset(elements, pairs))
+    assert str(exc.value) == message
+    rep = validate_order(elements, pairs)
+    assert not rep.ok
+    assert rep.problems == (problem,) and rep.witness == witness
+
+
+def test_upset_algebra_catches_a_corrupted_implication(monkeypatch):
+    space = dual_space(diamond())
+    build = duality.birkhoff_lattice
+
+    def corrupted(poset):
+        lat = build(poset)
+        lat.imp(lat.top, lat.bot)
+        lat._cache["imp"][lat.top][lat.bot] = lat.top
+        return lat
+
+    upset_algebra(space)
+    monkeypatch.setattr(duality, "birkhoff_lattice", corrupted)
+    with pytest.raises(LatticeError, match="implication formula disagrees"):
+        upset_algebra(space)
+
+
+def test_is_spatial_names_the_first_unseparated_pair(monkeypatch):
+    lat = birkhoff_lattice(FinitePoset.antichain(2))
+    pts = points(lat)
+    monkeypatch.setattr(lattices, "points", lambda _: pts[1:])
+    scan = next(
+        (lat.labels[a], lat.labels[b])
+        for a in range(lat.n)
+        for b in range(lat.n)
+        if not lat.leq(a, b)
+        and not any(f.members >> a & 1 and not f.members >> b & 1 for f in pts[1:])
+    )
+    assert is_spatial(lat) == (False, scan)

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from esakia.duality import dual_space
-from esakia.errors import SizeBoundError, SpaceError
+from esakia.errors import SizeBoundError, SpaceError, SubsetError
 from esakia.lattices import is_scattered_frame
 from esakia.nuclei import enumerate_nuclei_oracle, make_w, to_nuclear_set
 from esakia.spaces import (
@@ -173,6 +173,14 @@ def test_sigma_delta_on_sierpinski():
     # the dichotomy glue: sigma(j) is the complement of delta of its set
     for j in enumerate_nuclei_oracle(frame):
         assert sigma(s, j) == s.full_mask & ~delta(s, to_nuclear_set(d, j))
+
+
+def test_delta_rejects_a_mask_outside_the_dual_space():
+    s = sierpinski()
+    n = dual_space(open_frame(s)).n
+    for bad in (1 << n, -1):
+        with pytest.raises(SubsetError):
+            delta(s, bad)
 
 
 def test_sigma_is_injective_on_every_small_space():

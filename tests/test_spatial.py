@@ -1,6 +1,8 @@
+import pytest
 from hypothesis import given, settings
 
 from esakia.duality import dual_space, phi
+from esakia.errors import SubsetError
 from esakia.lattices import (
     birkhoff_lattice,
     essential_primes,
@@ -69,6 +71,14 @@ def test_gamma_sends_singletons_to_singletons():
     space = dual_space(lat)
     for i in range(space.n):
         assert gamma(lat, 1 << i) == 1 << i
+
+
+def test_gamma_rejects_a_mask_outside_the_dual_space():
+    lat = lat3()
+    n = dual_space(lat).n
+    for bad in (1 << n, -1):
+        with pytest.raises(SubsetError):
+            gamma(lat, bad)
 
 
 def test_gamma_report_on_three_chain():
