@@ -553,7 +553,16 @@ def scatter_report(space: FiniteSpace) -> ScatterReport:
 
 
 def sigma(space: FiniteSpace, j: Nucleus) -> int:
-    """Union of the growth j(U) minus U over all opens; front-open."""
+    """Union of the growth j(U) minus U over all opens; front-open.
+
+    Each distinct value table is validated as a nucleus once per space,
+    and its mask is memoised in the space's cache by the table; a table
+    that fails validation is never stored, so it raises on every call.
+    """
+    memo = space._cache.setdefault("sigma", {})
+    out = memo.get(j.values)
+    if out is not None:
+        return out
     frame = open_frame(space)
     report = validate_nucleus(frame, j.values)
     if not report.ok:
@@ -563,6 +572,7 @@ def sigma(space: FiniteSpace, j: Nucleus) -> int:
         out |= space.opens[j.values[a]] & ~u
     if out not in set(front_topology(space).opens):
         raise SpaceError("sigma produced a set that is not front-open")  # unreachable
+    memo[j.values] = out
     return out
 
 

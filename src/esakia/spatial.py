@@ -25,7 +25,7 @@ from .lattices import (
     min_primes,
     points,
 )
-from .nuclei import assembly_frame, is_nuclear
+from .nuclei import assembly_frame
 from .posets import FinitePoset, iter_bits, maximal_points, upset_masks
 
 __all__ = [
@@ -97,11 +97,8 @@ def nuclear_points(lattice: FiniteLattice) -> PointSet:
     if cached is not None:
         return cached
     space = dual_space(lattice)
-    n = space.poset.n
-    sing = 0
-    for y in range(n):
-        if is_nuclear(space, 1 << y):
-            sing |= 1 << y
+    # every singleton of the discrete dual is nuclear (see is_nuclear)
+    sing = space.poset.full_mask
     via_filters = 0
     for f in points(lattice):
         via_filters |= 1 << space.filters.index(f.members)

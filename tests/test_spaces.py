@@ -3,10 +3,17 @@ import json
 
 import pytest
 
+from esakia import spaces
 from esakia.duality import dual_space
 from esakia.errors import SizeBoundError, SpaceError, SubsetError
 from esakia.lattices import is_scattered_frame
-from esakia.nuclei import enumerate_nuclei_oracle, make_w, to_nuclear_set
+from esakia.nuclei import (
+    Nucleus,
+    enumerate_nuclei_oracle,
+    make_w,
+    to_nuclear_set,
+    top_nucleus,
+)
 from esakia.spaces import (
     FiniteSpace,
     classify_point,
@@ -181,6 +188,56 @@ def test_delta_rejects_a_mask_outside_the_dual_space():
     for bad in (1 << n, -1):
         with pytest.raises(SubsetError):
             delta(s, bad)
+
+
+def test_sigma_rejects_a_non_nucleus_before_and_after_the_memo_fills():
+    s = sierpinski()
+    frame = open_frame(s)
+    shrinking = Nucleus((frame.bot,) * frame.n)  # not inflationary
+    with pytest.raises(SpaceError, match="sigma expects a nucleus"):
+        sigma(s, shrinking)
+    for j in enumerate_nuclei_oracle(frame):
+        sigma(s, j)
+    with pytest.raises(SpaceError, match="sigma expects a nucleus"):
+        sigma(s, shrinking)
+
+
+def test_sigma_validates_each_table_once_per_space(monkeypatch):
+    validated = []
+    tables = set()
+    validate = spaces.validate_nucleus
+    original = spaces.sigma
+
+    def counting_validate(frame, values):
+        validated.append(values)
+        return validate(frame, values)
+
+    def recording_sigma(space, j):
+        tables.add(j.values)
+        return original(space, j)
+
+    monkeypatch.setattr(spaces, "validate_nucleus", counting_validate)
+    monkeypatch.setattr(spaces, "sigma", recording_sigma)
+    for n in (1, 2, 3):
+        for s in enumerate_topologies(n):
+            validated.clear()
+            tables.clear()
+            simmons_isbell_report(s)
+            assert len(validated) == len(tables)
+            fresh = FiniteSpace(s.points, s.opens)
+            for j in enumerate_nuclei_oracle(open_frame(s)):
+                before = len(validated)
+                assert original(s, j) == original(fresh, j)
+                assert len(validated) == before + 1
+
+
+def test_sigma_frame_hom_catches_a_wrong_meet(monkeypatch):
+    monkeypatch.setattr(
+        spaces, "nuclei_meet", lambda frame, js: top_nucleus(frame)
+    )
+    rep = simmons_isbell_report(sierpinski())
+    assert not rep.sigma_frame_hom
+    assert not rep.ok
 
 
 def test_sigma_is_injective_on_every_small_space():

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings
 
+from esakia import spatial
 from esakia.duality import dual_space, phi
-from esakia.errors import SubsetError
+from esakia.errors import NucleusError, SubsetError
 from esakia.lattices import (
     birkhoff_lattice,
     essential_primes,
@@ -64,6 +65,14 @@ def test_every_finite_dual_point_is_nuclear():
         for p in enumerate_posets(n):
             lat = birkhoff_lattice(p)
             assert nuclear_points(lat).mask == dual_space(lat).poset.full_mask
+
+
+def test_nuclear_points_catches_a_missing_completely_prime_filter(monkeypatch):
+    lat = lat3()
+    pts = spatial.points(lat)
+    monkeypatch.setattr(spatial, "points", lambda _: pts[1:])
+    with pytest.raises(NucleusError, match="nuclear singletons disagree"):
+        nuclear_points(lat)
 
 
 def test_gamma_sends_singletons_to_singletons():
