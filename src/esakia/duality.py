@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from . import lattices
 from .errors import LatticeError
 from .lattices import FiniteLattice, birkhoff_lattice
-from .posets import FinitePoset, down_closure, find_isomorphism, upset_masks
+from .posets import FinitePoset, down_closure, find_isomorphism, inclusion_up_masks, upset_masks
 
 __all__ = [
     "EsakiaSpaceFin",
@@ -66,14 +66,10 @@ def dual_space(lattice: FiniteLattice) -> EsakiaSpaceFin:
         return cached
     pts = lattices.points(lattice)
     names = [f"x_{lattice.labels[f.generator]}" for f in pts]
-    pairs = []
-    for i, fi in enumerate(pts):
-        for j, fj in enumerate(pts):
-            if i != j and fi.members & fj.members == fi.members:
-                pairs.append((names[i], names[j]))
+    filters = tuple(f.members for f in pts)
     space = EsakiaSpaceFin(
-        FinitePoset(names, pairs),
-        filters=tuple(f.members for f in pts),
+        FinitePoset.from_up_masks(names, inclusion_up_masks(filters)),
+        filters=filters,
         source=lattice,
     )
     lattice._cache["dual_space"] = space

@@ -25,7 +25,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import LatticeError, PosetError
-from .posets import FinitePoset, iter_bits, upset_masks
+from .posets import FinitePoset, inclusion_up_masks, iter_bits, set_label, upset_masks
 
 __all__ = [
     "FiniteLattice",
@@ -34,7 +34,6 @@ __all__ = [
     "EssentialPrimes",
     "Booleanization",
     "validate_order",
-    "validate",
     "birkhoff_lattice",
     "meet_primes",
     "join_irreducibles",
@@ -126,13 +125,6 @@ class FiniteLattice:
         principal = {poset.down_mask(g) for g in range(n)}
         irr = [a for a in range(n) if poset.down_mask(a) & ~(1 << a) in principal]
 
-        base_labels = [poset.elements[a] for a in irr]
-        base_pairs = []
-        for x in irr:
-            for y in irr:
-                if x != y and poset.leq_i(y, x):
-                    base_pairs.append((poset.elements[x], poset.elements[y]))
-        base = FinitePoset(base_labels, base_pairs)
         upset_of = []
         for a in range(n):
             m = 0
@@ -140,6 +132,10 @@ class FiniteLattice:
                 if poset.leq_i(x, a):
                     m |= 1 << k
             upset_of.append(m)
+        # the base orders irr reversed: x's up-mask is the irr below it
+        base = FinitePoset.from_up_masks(
+            [poset.elements[a] for a in irr], [upset_of[a] for a in irr]
+        )
 
         masks = upset_masks(base)
         of_mask = {m: None for m in masks}
@@ -321,17 +317,6 @@ def validate_order(
                          tuple(problems), witness)
 
 
-def validate(lattice: FiniteLattice) -> LatticeReport:
-    """Re-run the raw-order validation on a built lattice."""
-    pairs = [
-        (lattice.labels[i], lattice.labels[j])
-        for i in range(lattice.n)
-        for j in range(lattice.n)
-        if i != j and lattice.poset.leq_i(i, j)
-    ]
-    return validate_order(lattice.labels, pairs)
-
-
 # -- constructors -----------------------------------------------------------
 
 
@@ -343,13 +328,8 @@ def birkhoff_lattice(poset: FinitePoset) -> FiniteLattice:
     upset_masks(poset)[i] and consumers may rely on that alignment.
     """
     masks = upset_masks(poset)
-    labels = ["{" + ",".join(poset.elements[i] for i in iter_bits(m)) + "}" for m in masks]
-    pairs = []
-    for k, m in enumerate(masks):
-        for k2, m2 in enumerate(masks):
-            if k != k2 and m & m2 == m:
-                pairs.append((labels[k], labels[k2]))
-    return FiniteLattice(FinitePoset(labels, pairs))
+    labels = [set_label(poset.elements, m) for m in masks]
+    return FiniteLattice(FinitePoset.from_up_masks(labels, inclusion_up_masks(masks)))
 
 
 def lattice_from_json_dict(data: object) -> FiniteLattice:
@@ -377,29 +357,9 @@ def lattice_from_json_dict(data: object) -> FiniteLattice:
 
 
 def join_irreducibles(lattice: FiniteLattice) -> int:
-    """Mask of elements that are not proper joins (bottom excluded)."""
-    cached = lattice._cache.get("join_irr")
-    if cached is not None:
-        return cached
-    out = 0
-    n = lattice.n
-    for a in range(n):
-        if a == lattice.bot:
-            continue
-        for x in range(n):
-            if not lattice.poset.leq_i(x, a) or x == a:
-                continue
-            hit = False
-            for y in range(n):
-                if y != a and lattice.poset.leq_i(y, a) and lattice.join_t[x][y] == a:
-                    hit = True
-                    break
-            if hit:
-                break
-        else:
-            out |= 1 << a
-    lattice._cache["join_irr"] = out
-    return out
+    """Mask of elements that are not proper joins (bottom excluded): the
+    carrier of the base poset the constructor built."""
+    return lattice.poset.subset(lattice.base.elements)
 
 
 def meet_primes(lattice: FiniteLattice) -> int:
@@ -631,14 +591,12 @@ def booleanization(lattice: FiniteLattice) -> Booleanization:
     image_mask = 0
     for a in reg:
         image_mask |= 1 << a
-    labels = [lattice.labels[a] for a in reg]
-    pairs = [
-        (labels[i], labels[j])
-        for i, x in enumerate(reg)
-        for j, y in enumerate(reg)
-        if i != j and lattice.poset.leq_i(x, y)
-    ]
-    sub = FiniteLattice(FinitePoset(labels, pairs))
+    sub = FiniteLattice(
+        FinitePoset.from_up_masks(
+            [lattice.labels[a] for a in reg],
+            inclusion_up_masks([lattice.poset.down_mask(a) for a in reg]),
+        )
+    )
     if not is_boolean(sub):
         raise LatticeError("double-negation image failed to be boolean")
     back = {a: i for i, a in enumerate(reg)}

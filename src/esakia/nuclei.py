@@ -23,7 +23,16 @@ from .lattices import (
     is_boolean,
     is_scattered_frame,
 )
-from .posets import FinitePoset, down_closure, find_isomorphism, is_downset, iter_bits, maximal_points
+from .posets import (
+    FinitePoset,
+    down_closure,
+    find_isomorphism,
+    inclusion_up_masks,
+    is_downset,
+    iter_bits,
+    maximal_points,
+    set_label,
+)
 
 __all__ = [
     "Nucleus",
@@ -53,7 +62,6 @@ __all__ = [
     "is_assembly_boolean",
     "assembly_booleanization_check",
     "tower",
-    "nucleus_from_json_dict",
     "nucleus_to_json_dict",
 ]
 
@@ -193,9 +201,6 @@ class AssemblyFrame:
     sets: tuple[int, ...]
     nuclei: tuple[Nucleus, ...]
 
-    def index_of_set(self, mask: int) -> int:
-        return self.sets.index(mask)
-
 
 def assembly_frame(lattice: FiniteLattice) -> AssemblyFrame:
     """Build the assembly of a finite frame from its nuclear subsets."""
@@ -208,15 +213,13 @@ def assembly_frame(lattice: FiniteLattice) -> AssemblyFrame:
         raise SizeBoundError(f"assembly over a {n}-point dual space exceeds the bound")
     # the dual space is discrete, so every subset is nuclear (see is_nuclear)
     sets = tuple(range(1 << n))
-    names = [
-        "{" + ",".join(space.poset.elements[i] for i in iter_bits(m)) + "}" for m in sets
-    ]
-    pairs = []
-    for i, mi in enumerate(sets):
-        for j, mj in enumerate(sets):
-            if i != j and mi & mj == mj:  # reverse inclusion: bigger set is smaller nucleus
-                pairs.append((names[i], names[j]))
-    asm_lattice = FiniteLattice(FinitePoset(names, pairs))
+    names = [set_label(space.poset.elements, m) for m in sets]
+    # reverse inclusion (a bigger set is a smaller nucleus): the inclusion
+    # order of the complements
+    full = space.poset.full_mask
+    asm_lattice = FiniteLattice(
+        FinitePoset.from_up_masks(names, inclusion_up_masks([full & ~m for m in sets]))
+    )
     nuclei = tuple(from_nuclear_set(space, m) for m in sets)
     for k, j in enumerate(nuclei):
         if to_nuclear_set(space, j) != sets[k]:
@@ -327,14 +330,12 @@ def enumerate_nuclei_oracle(lattice: FiniteLattice, *, bound: int | None = None)
 def fixpoint_frame(lattice: FiniteLattice, j: Nucleus) -> FiniteLattice:
     """The frame of fixpoints, with joins corrected through the nucleus."""
     fix = [a for a in range(lattice.n) if j.values[a] == a]
-    labels = [lattice.labels[a] for a in fix]
-    pairs = [
-        (labels[i], labels[k])
-        for i, x in enumerate(fix)
-        for k, y in enumerate(fix)
-        if i != k and lattice.poset.leq_i(x, y)
-    ]
-    sub = FiniteLattice(FinitePoset(labels, pairs))
+    sub = FiniteLattice(
+        FinitePoset.from_up_masks(
+            [lattice.labels[a] for a in fix],
+            inclusion_up_masks([lattice.poset.down_mask(a) for a in fix]),
+        )
+    )
     for i, x in enumerate(fix):
         for k, y in enumerate(fix):
             if fix[sub.meet(i, k)] != lattice.meet(x, y):
@@ -425,17 +426,8 @@ def assembly_booleanization_check(lattice: FiniteLattice) -> BooleanizationCheck
     b: Booleanization = booleanization(asm.lattice)
     disc = _discrete_space(asm.dual)
     rc = sorted(regular_closed(disc))
-    names = [
-        "{" + ",".join(asm.dual.poset.elements[i] for i in iter_bits(m)) + "}"
-        for m in rc
-    ]
-    pairs = [
-        (names[i], names[j])
-        for i, mi in enumerate(rc)
-        for j, mj in enumerate(rc)
-        if i != j and mi & mj == mi
-    ]
-    rc_lattice = FiniteLattice(FinitePoset(names, pairs))
+    names = [set_label(asm.dual.poset.elements, m) for m in rc]
+    rc_lattice = FiniteLattice(FinitePoset.from_up_masks(names, inclusion_up_masks(rc)))
     dual_iso = (
         find_isomorphism(b.lattice.poset, rc_lattice.poset.dual()) is not None
     )
@@ -523,22 +515,6 @@ def tower(lattice: FiniteLattice, k: int = 2, *, bound: int | None = None) -> To
 
 
 # -- JSON -----------------------------------------------------------------------
-
-
-def nucleus_from_json_dict(lattice: FiniteLattice, data: object) -> Nucleus:
-    if not isinstance(data, dict) or not isinstance(data.get("values"), dict):
-        raise NucleusError('nucleus JSON must be an object with a "values" map')
-    raw = data["values"]
-    values = [0] * lattice.n
-    seen = set()
-    for key, val in raw.items():
-        if not isinstance(key, str) or not isinstance(val, str):
-            raise NucleusError("nucleus values must map labels to labels")
-        values[lattice.index(key)] = lattice.index(val)
-        seen.add(lattice.index(key))
-    if len(seen) != lattice.n:
-        raise NucleusError("nucleus value map must cover the whole carrier")
-    return make_nucleus(lattice, tuple(values))
 
 
 def nucleus_to_json_dict(lattice: FiniteLattice, j: Nucleus) -> dict:

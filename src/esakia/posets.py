@@ -9,9 +9,13 @@ Conventions used by the whole package:
   ``elements[i]``.  Masks are range-checked where they enter the API.
 * Listings of subsets are always emitted in ascending mask order, which
   is the canonical tie-break everywhere output must be reproducible.
-* Input relations may be cover pairs or any generating subset of the
-  order; the reflexive transitive closure is taken and antisymmetry is
-  re-validated either way.
+* Derived orders (dual spaces, assemblies, open frames, upset lattices,
+  sub-orders) enter through ``FinitePoset.from_up_masks``, which checks
+  reflexivity, transitivity and antisymmetry of the masks it is given.
+  Label pairs come only from JSON input, ``chain``/``antichain`` and
+  tests: the pair constructor takes the reflexive transitive closure of
+  any generating relation (cover pairs or more) and hands the masks to
+  the same checks.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from .errors import PosetError, SizeBoundError, SubsetError
 __all__ = [
     "FinitePoset",
     "iter_bits",
+    "inclusion_up_masks",
+    "set_label",
     "up_closure",
     "down_closure",
     "maximal_points",
@@ -46,44 +52,122 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def set_label(elements: Sequence[str], mask: int) -> str:
+    """A subset in set notation, members in ascending index order."""
+    return "{" + ",".join(elements[i] for i in iter_bits(mask)) + "}"
+
+
+def inclusion_up_masks(family: Sequence[int]) -> list[int]:
+    """Up-masks of a family of distinct subsets ordered by inclusion.
+
+    Bit k of entry i is set iff family[i] <= family[k], i.e. iff family[k]
+    holds every member of family[i]: the meet of the holders of each one.
+    """
+    every = (1 << len(family)) - 1
+    holders: dict[int, int] = {}
+    for k, m in enumerate(family):
+        for p in iter_bits(m):
+            holders[p] = holders.get(p, 0) | 1 << k
+    out = []
+    for m in family:
+        up = every
+        for p in iter_bits(m):
+            up &= holders[p]
+        out.append(up)
+    return out
+
+
+def _index_of(elements: tuple[str, ...]) -> dict[str, int]:
+    index = {x: i for i, x in enumerate(elements)}
+    if len(index) != len(elements):
+        raise PosetError("duplicate element ids")
+    return index
+
+
+def _close(up: list[int]) -> None:
+    """Transitive closure of reflexive up-masks in place (bitset Warshall)."""
+    n = len(up)
+    for k in range(n):
+        bit = 1 << k
+        for i in range(n):
+            if up[i] & bit:
+                up[i] |= up[k]
+
+
+def _down_masks(up: Sequence[int]) -> list[int]:
+    """Down-masks of a relation given by its up-masks."""
+    down = [0] * len(up)
+    for i, m in enumerate(up):
+        for j in iter_bits(m):
+            down[j] |= 1 << i
+    return down
+
+
 class FinitePoset:
     """An immutable finite partial order."""
 
     __slots__ = ("elements", "_index", "_up", "_down")
 
     def __init__(self, elements: Sequence[str], relation: Iterable[tuple[str, str]] = ()):
+        """The order generated by the pairs (a, b) of relation, read a <= b."""
         elements = tuple(elements)
-        if len(set(elements)) != len(elements):
-            raise PosetError("duplicate element ids")
-        index = {x: i for i, x in enumerate(elements)}
-        n = len(elements)
-        up = [1 << i for i in range(n)]
+        index = _index_of(elements)
+        up = [1 << i for i in range(len(elements))]
         for a, b in relation:
             if a not in index or b not in index:
                 raise PosetError(f"relation mentions unknown element {a!r} or {b!r}")
             up[index[a]] |= 1 << index[b]
-        # reflexive-transitive closure, one pass of bitset Warshall
-        for k in range(n):
-            bit = 1 << k
-            for i in range(n):
-                if up[i] & bit:
-                    up[i] |= up[k]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if up[i] >> j & 1 and up[j] >> i & 1:
+        _close(up)
+        self._init_order(elements, index, up)
+
+    @classmethod
+    def from_up_masks(cls, elements: Sequence[str], up: Sequence[int]) -> "FinitePoset":
+        """The order with elements[i] <= elements[j] iff bit j of up[i] is set.
+
+        The masks are checked, not closed: a row that misses its own bit,
+        leaves the carrier or misses a bit of a row it holds, or two
+        elements above each other, raise PosetError.
+        """
+        elements = tuple(elements)
+        poset = cls.__new__(cls)
+        poset._init_order(elements, _index_of(elements), up)
+        return poset
+
+    def _init_order(
+        self, elements: tuple[str, ...], index: dict[str, int], up: Sequence[int]
+    ) -> None:
+        up = tuple(up)
+        n = len(elements)
+        if len(up) != n:
+            raise PosetError(f"{len(up)} up-masks for {n} elements")
+        for i, m in enumerate(up):
+            if not m >> i & 1:
+                raise PosetError(f"reflexivity fails at {elements[i]!r}")
+            if m >> n:
+                raise PosetError(f"up-mask of {elements[i]!r} leaves the {n}-element carrier")
+        for i, m in enumerate(up):
+            for j in iter_bits(m):
+                missing = up[j] & ~m
+                if missing:
+                    k = (missing & -missing).bit_length() - 1
                     raise PosetError(
-                        f"antisymmetry fails between {elements[i]!r} and {elements[j]!r}"
+                        f"transitivity fails: {elements[i]!r} <= {elements[j]!r} <= "
+                        f"{elements[k]!r} but not {elements[i]!r} <= {elements[k]!r}"
                     )
-        down = [0] * n
-        for i in range(n):
-            rest = up[i]
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                down[j] |= 1 << i
-                rest &= rest - 1
+        down = _down_masks(up)
+        for i, m in enumerate(up):
+            # on a transitive relation the first i with a partner above and
+            # below it is the smaller of the first such pair, its lowest
+            # partner the larger
+            both = m & down[i] & ~(1 << i)
+            if both:
+                j = (both & -both).bit_length() - 1
+                raise PosetError(
+                    f"antisymmetry fails between {elements[i]!r} and {elements[j]!r}"
+                )
         self.elements = elements
         self._index = index
-        self._up = tuple(up)
+        self._up = up
         self._down = tuple(down)
 
     # -- basic queries -------------------------------------------------
@@ -141,11 +225,7 @@ class FinitePoset:
         return out
 
     def dual(self) -> "FinitePoset":
-        pairs = []
-        for i in range(self.n):
-            for j in iter_bits(self._up[i] & ~(1 << i)):
-                pairs.append((self.elements[j], self.elements[i]))
-        return FinitePoset(self.elements, pairs)
+        return FinitePoset.from_up_masks(self.elements, self._down)
 
     # -- value semantics ----------------------------------------------
 
@@ -293,13 +373,8 @@ def _relation_isomorphism(
     n = len(up_a)
     if len(up_b) != n:
         return None
-    down_a = [0] * n
-    down_b = [0] * n
-    for i in range(n):
-        for j in iter_bits(up_a[i]):
-            down_a[j] |= 1 << i
-        for j in iter_bits(up_b[i]):
-            down_b[j] |= 1 << i
+    down_a = _down_masks(up_a)
+    down_b = _down_masks(up_b)
     inv_a = _invariants(up_a, down_a)
     inv_b = _invariants(up_b, down_b)
     if sorted(inv_a) != sorted(inv_b):
@@ -377,11 +452,7 @@ def _canonical(up: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical labeled form: the minimum relabeling over all permutations
     consistent with the per-element invariants."""
     n = len(up)
-    down = [0] * n
-    for i in range(n):
-        for j in iter_bits(up[i]):
-            down[j] |= 1 << i
-    inv = _invariants(up, down)
+    inv = _invariants(up, _down_masks(up))
     keyed = sorted(range(n), key=lambda i: (inv[i], i))
     groups: list[list[int]] = []
     for i in keyed:
@@ -419,13 +490,14 @@ def _poset_reps(n: int) -> tuple[tuple[int, ...], ...]:
     k = n - 1
     seen: set[tuple[int, ...]] = set()
     for up in _poset_reps(k):
+        down = _down_masks(up)
         downsets = []
         upsets = []
         for mask in range(1 << k):
             good_down = True
             good_up = True
             for i in iter_bits(mask):
-                if down_bits(up, i) & ~mask:
+                if down[i] & ~mask:
                     good_down = False
                 if up[i] & ~mask:
                     good_up = False
@@ -448,26 +520,10 @@ def _poset_reps(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(seen))
 
 
-def down_bits(up: Sequence[int], i: int) -> int:
-    """Down-set mask of element i computed from up-masks."""
-    out = 0
-    for j in range(len(up)):
-        if up[j] >> i & 1:
-            out |= 1 << j
-    return out
-
-
 def enumerate_posets(n: int, *, bound: int | None = None) -> list[FinitePoset]:
     """All posets on n elements up to isomorphism, deterministically ordered."""
     cap = poset_bound() if bound is None else bound
     if n > cap:
         raise SizeBoundError(f"enumerate_posets({n}) exceeds bound {cap}")
     labels = [f"p{i}" for i in range(n)]
-    out = []
-    for up in _poset_reps(n):
-        pairs = []
-        for i in range(n):
-            for j in iter_bits(up[i] & ~(1 << i)):
-                pairs.append((labels[i], labels[j]))
-        out.append(FinitePoset(labels, pairs))
-    return out
+    return [FinitePoset.from_up_masks(labels, up) for up in _poset_reps(n)]

@@ -33,7 +33,14 @@ from .nuclei import (
     top_nucleus,
     validate_nucleus,
 )
-from .posets import FinitePoset, _relation_isomorphism, iter_bits
+from .posets import (
+    FinitePoset,
+    _close,
+    _relation_isomorphism,
+    inclusion_up_masks,
+    iter_bits,
+    set_label,
+)
 from .spatial import _front_opens, front_open_masks
 
 __all__ = [
@@ -88,11 +95,13 @@ class FiniteSpace:
             for v in opens:
                 if u | v not in members:
                     raise SpaceError(
-                        f"opens not closed under union: {self._set_label(u)} | {self._set_label(v)}"
+                        "opens not closed under union: "
+                        f"{set_label(self.points, u)} | {set_label(self.points, v)}"
                     )
                 if u & v not in members:
                     raise SpaceError(
-                        f"opens not closed under intersection: {self._set_label(u)} & {self._set_label(v)}"
+                        "opens not closed under intersection: "
+                        f"{set_label(self.points, u)} & {set_label(self.points, v)}"
                     )
         self.opens = tuple(opens)
         self._cache = {}
@@ -117,9 +126,6 @@ class FiniteSpace:
         if mask < 0 or mask > self.full_mask:
             raise SpaceError(f"mask {bin(mask)} is not a subset of the space")
         return mask
-
-    def _set_label(self, mask: int) -> str:
-        return "{" + ",".join(self.points[i] for i in iter_bits(mask)) + "}"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteSpace):
@@ -209,11 +215,7 @@ class FiniteSpace:
         up = [1 << i for i in range(n)]
         for a, b in pairs:
             up[index[str(a)]] |= 1 << index[str(b)]
-        for k in range(n):
-            bit = 1 << k
-            for i in range(n):
-                if up[i] & bit:
-                    up[i] |= up[k]
+        _close(up)
         opens = [
             m
             for m in range(1 << n)
@@ -257,14 +259,10 @@ def open_frame(space: FiniteSpace) -> FiniteLattice:
     """Opens under inclusion; lattice element i is space.opens[i]."""
     got = space._cache.get("open_frame")
     if got is None:
-        labels = [space._set_label(m) for m in space.opens]
-        pairs = [
-            (labels[i], labels[k])
-            for i, u in enumerate(space.opens)
-            for k, v in enumerate(space.opens)
-            if i != k and u & ~v == 0
-        ]
-        got = FiniteLattice(FinitePoset(labels, pairs))
+        labels = [set_label(space.points, m) for m in space.opens]
+        got = FiniteLattice(
+            FinitePoset.from_up_masks(labels, inclusion_up_masks(space.opens))
+        )
         space._cache["open_frame"] = got
     return got
 

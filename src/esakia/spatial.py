@@ -21,7 +21,6 @@ from .lattices import (
     FiniteLattice,
     essential_primes,
     is_spatial,
-    meet_primes,
     min_primes,
     points,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "gamma_report",
     "assembly_spatial_report",
     "join_primes_of_assembly",
-    "meet_prime_characterization_ok",
     "essential_primes_dual",
 ]
 
@@ -298,19 +296,6 @@ def join_primes_of_assembly(lattice: FiniteLattice) -> JoinPrimeReport:
 
 
 # -- minimal and essential primes through the dual space ------------------------
-
-
-def meet_prime_characterization_ok(lattice: FiniteLattice) -> bool:
-    """Meet-primes are exactly the preimages of complements of point
-    downsets taken at nuclear points."""
-    space = dual_space(lattice)
-    pts = nuclear_points(lattice)
-    table = phi_table(space)
-    full = space.poset.full_mask
-    via_dual = set()
-    for y in iter_bits(pts.mask):
-        via_dual.add(phi_inverse(space, full & ~space.poset.down_mask(y)))
-    return via_dual == set(iter_bits(meet_primes(lattice)))
 
 
 @dataclass(frozen=True)

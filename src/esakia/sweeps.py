@@ -21,7 +21,7 @@ from .nuclei import (
     to_nuclear_set,
     w_decomposition_check,
 )
-from .posets import FinitePoset, enumerate_posets
+from .posets import FinitePoset, enumerate_posets, set_label
 from .spatial import (
     assembly_spatial_report,
     essential_primes_dual,
@@ -167,7 +167,7 @@ def run_topology_suite(n: int, suite: str) -> SweepSummary:
         if check(space):
             passes += 1
         elif first is None:
-            first = f"opens {[space._set_label(m) for m in space.opens]}"
+            first = f"opens {[set_label(space.points, m) for m in space.opens]}"
     return SweepSummary(
         "topologies", n, suite, instances, passes, instances - passes, first
     )

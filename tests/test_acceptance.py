@@ -125,7 +125,7 @@ def test_criterion_04_powerset_assembly_fixed_point(report):
         asm = assembly_frame(lat)
         ok = ok and asm.lattice.n == lat.n
         emb = [
-            asm.index_of_set(to_nuclear_set(asm.dual, make_u(lat, a)))
+            asm.sets.index(to_nuclear_set(asm.dual, make_u(lat, a)))
             for a in range(lat.n)
         ]
         ok = ok and sorted(emb) == list(range(lat.n))

@@ -24,7 +24,6 @@ from esakia.lattices import (
     points,
     prime_filters,
     smallest_dense,
-    validate,
     validate_order,
 )
 from esakia.posets import FinitePoset, enumerate_posets, iter_bits, maximal_points
@@ -151,7 +150,7 @@ def test_birkhoff_of_chain_is_chain():
     lat = birkhoff_lattice(FinitePoset.chain(2))
     assert lat.n == 3
     assert lat.leq(lat.bot, lat.top)
-    assert validate(lat).ok
+    assert validate_order(lat.labels, lat.poset.covers()).ok
 
 
 def test_birkhoff_of_antichain_is_diamond():
@@ -185,6 +184,31 @@ def test_implication_is_the_relative_pseudocomplement():
             for x in range(lat.n):
                 if lat.leq(lat.meet(a, x), b):
                     assert lat.leq(x, r)
+
+
+def literal_join_irreducibles(lat: FiniteLattice) -> int:
+    """Mask of the a != bot that are no join of two elements strictly below."""
+    out = 0
+    for a in range(lat.n):
+        if a == lat.bot:
+            continue
+        below = [x for x in range(lat.n) if x != a and lat.leq(x, a)]
+        if all(lat.join(x, y) != a for x in below for y in below):
+            out |= 1 << a
+    return out
+
+
+def test_join_irreducibles_match_the_literal_definition():
+    lats = []
+    for n in range(1, 6):
+        for p in enumerate_posets(n):
+            lat = birkhoff_lattice(p)
+            lats += [lat, FiniteLattice(lat.poset.dual())]
+    for n in range(1, 4):
+        lats += [open_frame(s) for s in enumerate_topologies(n)]
+    assert len(lats) == 208
+    for lat in lats:
+        assert join_irreducibles(lat) == literal_join_irreducibles(lat)
 
 
 def test_join_irreducibles_and_meet_primes_on_diamond():
@@ -298,7 +322,7 @@ def test_json_round_trip():
 @given(posets(max_size=4))
 def test_birkhoff_lattices_are_heyting(p):
     lat = birkhoff_lattice(p)
-    assert validate(lat).ok
+    assert validate_order(lat.labels, lat.poset.covers()).ok
     for a in range(lat.n):
         for b in range(lat.n):
             r = lat.imp(a, b)

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,9 +25,7 @@ from esakia.nuclei import (
     nuclear_sets_meet,
     nuclei_join,
     nuclei_meet,
-    nucleus_from_json_dict,
     nucleus_leq,
-    nucleus_to_json_dict,
     to_nuclear_set,
     top_nucleus,
     tower,
@@ -138,8 +134,8 @@ def test_assembly_of_three_chain_is_the_four_diamond():
     assert asm.lattice.n == 4
     assert asm.lattice.labels == ("{}", "{x_m}", "{x_1}", "{x_m,x_1}")
     # reverse inclusion: the full set is the identity nucleus, the bottom
-    assert asm.lattice.bot == asm.index_of_set(asm.dual.poset.full_mask)
-    assert asm.lattice.top == asm.index_of_set(0)
+    assert asm.lattice.bot == asm.sets.index(asm.dual.poset.full_mask)
+    assert asm.lattice.top == asm.sets.index(0)
     assert is_boolean(asm.lattice)
 
 
@@ -190,7 +186,7 @@ def test_beazer_macnab_fixed_points():
         asm = assembly_frame(lat)
         assert asm.lattice.n == lat.n
         space = asm.dual
-        emb = [asm.index_of_set(to_nuclear_set(space, make_u(lat, a))) for a in range(lat.n)]
+        emb = [asm.sets.index(to_nuclear_set(space, make_u(lat, a))) for a in range(lat.n)]
         assert sorted(emb) == list(range(lat.n))
         for a in range(lat.n):
             for b in range(lat.n):
@@ -226,22 +222,9 @@ def test_u_and_v_are_complements_in_the_assembly():
     asm = assembly_frame(lat)
     space = asm.dual
     for a in range(lat.n):
-        iu = asm.index_of_set(to_nuclear_set(space, make_u(lat, a)))
-        iv = asm.index_of_set(to_nuclear_set(space, make_v(lat, a)))
+        iu = asm.sets.index(to_nuclear_set(space, make_u(lat, a)))
+        iv = asm.sets.index(to_nuclear_set(space, make_v(lat, a)))
         assert complement_of(asm.lattice, iu) == iv
-
-
-def test_nucleus_json_round_trip():
-    lat = lat3()
-    for j in enumerate_nuclei_oracle(lat):
-        data = json.loads(json.dumps(nucleus_to_json_dict(lat, j)))
-        assert nucleus_from_json_dict(lat, data).values == j.values
-
-
-def test_nucleus_json_rejects_bad_values():
-    lat = lat3()
-    with pytest.raises(NucleusError):
-        nucleus_from_json_dict(lat, {"values": {"0": "0", "m": "0", "1": "1"}})
 
 
 @given(posets(max_size=3))

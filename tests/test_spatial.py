@@ -2,12 +2,13 @@ import pytest
 from hypothesis import given, settings
 
 from esakia import spatial
-from esakia.duality import dual_space, phi
+from esakia.duality import dual_space, phi, phi_inverse
 from esakia.errors import NucleusError, SubsetError
 from esakia.lattices import (
     birkhoff_lattice,
     essential_primes,
     lattice_from_json_dict,
+    meet_primes,
     min_primes,
 )
 from esakia.nuclei import make_u, to_nuclear_set
@@ -19,7 +20,6 @@ from esakia.spatial import (
     gamma,
     gamma_report,
     join_primes_of_assembly,
-    meet_prime_characterization_ok,
     nuclear_points,
 )
 
@@ -115,10 +115,22 @@ def test_join_primes_are_singletons():
     assert rep.point_count == rep.assembly_point_count == 2
 
 
+def meet_primes_via_dual(lat) -> set[int]:
+    """Meet-primes read off the dual space: the preimages of the
+    complements of point downsets, taken at nuclear points."""
+    space = dual_space(lat)
+    full = space.poset.full_mask
+    return {
+        phi_inverse(space, full & ~space.poset.down_mask(y))
+        for y in iter_bits(nuclear_points(lat).mask)
+    }
+
+
 def test_meet_prime_characterization():
     for n in range(1, 5):
         for p in enumerate_posets(n):
-            assert meet_prime_characterization_ok(birkhoff_lattice(p))
+            lat = birkhoff_lattice(p)
+            assert meet_primes_via_dual(lat) == set(iter_bits(meet_primes(lat)))
 
 
 def test_essential_primes_dual_agrees_with_lattice():
