@@ -347,10 +347,12 @@ def lattice_from_json_dict(data: object) -> FiniteLattice:
                 and all(isinstance(x, str) for x in item)):
             raise LatticeError(f"bad leq pair {item!r}")
         pairs.append((item[0], item[1]))
-    report = validate_order(elements, pairs)
-    if not report.ok:
-        raise LatticeError("; ".join(report.problems) or "invalid lattice")
-    return FiniteLattice(FinitePoset(elements, pairs))
+    try:
+        return FiniteLattice(FinitePoset(elements, pairs))
+    except (PosetError, LatticeError):
+        # JSON input keeps the report's messages, not the constructors'
+        report = validate_order(elements, pairs)
+        raise LatticeError("; ".join(report.problems) or "invalid lattice") from None
 
 
 # -- irreducibles and primes -----------------------------------------------

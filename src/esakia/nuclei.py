@@ -161,10 +161,18 @@ def is_nuclear(space: EsakiaSpaceFin, mask: int) -> bool:
 
 
 def to_nuclear_set(space: EsakiaSpaceFin, j: Nucleus) -> int:
-    """Points whose prime filter is its own preimage under the nucleus."""
+    """Points whose prime filter is its own preimage under the nucleus.
+
+    Memoised in the source lattice's ``_cache["to_nuclear_set"]``, keyed
+    by the full value table ``j.values``.
+    """
     if space.filters is None or space.source is None:
         raise NucleusError("space has no source lattice attached")
     lattice = space.source
+    memo = lattice._cache.setdefault("to_nuclear_set", {})
+    out = memo.get(j.values)
+    if out is not None:
+        return out
     out = 0
     for k, members in enumerate(space.filters):
         pre = 0
@@ -173,22 +181,33 @@ def to_nuclear_set(space: EsakiaSpaceFin, j: Nucleus) -> int:
                 pre |= 1 << a
         if pre == members:
             out |= 1 << k
+    memo[j.values] = out
     return out
 
 
 def from_nuclear_set(space: EsakiaSpaceFin, mask: int) -> Nucleus:
-    """The nucleus induced by a nuclear set, through its action on opens."""
+    """The nucleus induced by a nuclear set, through its action on opens.
+
+    Memoised in the source lattice's ``_cache["from_nuclear_set"]``, keyed
+    by the mask; the range is checked before the lookup, so only masks of
+    the dual space are ever stored.
+    """
     space.poset.check_mask(mask)
     lattice = space.source
     if lattice is None:
         raise NucleusError("space has no source lattice attached")
+    memo = lattice._cache.setdefault("from_nuclear_set", {})
+    out = memo.get(mask)
+    if out is not None:
+        return out
     table = phi_table(space)
     full = space.poset.full_mask
     values = []
     for a in range(lattice.n):
         img = full & ~down_closure(space.poset, mask & ~table[a])
         values.append(phi_inverse(space, img))
-    return Nucleus(tuple(values))
+    out = memo[mask] = Nucleus(tuple(values))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,9 +253,8 @@ def assembly_frame(lattice: FiniteLattice) -> AssemblyFrame:
 
 def nuclei_meet(lattice: FiniteLattice, js: list[Nucleus]) -> Nucleus:
     """Pointwise meet; the empty meet is the top nucleus."""
-    return Nucleus(
-        tuple(lattice.meet_all(j.values[a] for j in js) for a in range(lattice.n))
-    )
+    top_row = (lattice.top,) * lattice.n
+    return Nucleus(tuple(map(lattice.meet_all, zip(top_row, *(j.values for j in js)))))
 
 
 def nuclear_sets_meet(space: EsakiaSpaceFin, masks: list[int]) -> int:
@@ -256,9 +274,7 @@ def nuclei_join(lattice: FiniteLattice, space: EsakiaSpaceFin, js: list[Nucleus]
     """
     inter = nuclear_sets_meet(space, [to_nuclear_set(space, j) for j in js])
     primary = from_nuclear_set(space, inter)
-    g = tuple(
-        lattice.join_all([a] + [j.values[a] for j in js]) for a in range(lattice.n)
-    )
+    g = tuple(map(lattice.join_all, zip(range(lattice.n), *(j.values for j in js))))
     h = g
     while True:
         nxt = tuple(g[x] for x in h)

@@ -751,14 +751,11 @@ def simmons_isbell_report(space: FiniteSpace) -> SimmonsIsbellReport:
     hom = sigma(space, identity_nucleus(frame)) == 0
     hom = hom and sigma(space, top_nucleus(frame)) == space.full_mask
     for i, j in enumerate(nucs):
-        for k in nucs[i + 1 :]:
-            if sigma(space, nuclei_meet(frame, [j, k])) != sigma(space, j) & sigma(
-                space, k
-            ):
+        for k in range(i + 1, len(nucs)):
+            pair = [j, nucs[k]]
+            if sigma(space, nuclei_meet(frame, pair)) != sigmas[i] & sigmas[k]:
                 hom = False
-            if sigma(space, nuclei_join(frame, dual, [j, k])) != sigma(
-                space, j
-            ) | sigma(space, k):
+            if sigma(space, nuclei_join(frame, dual, pair)) != sigmas[i] | sigmas[k]:
                 hom = False
     deltas = {m: delta(space, m) for m in asm.sets}
     del_inj = len(set(deltas.values())) == len(asm.sets)

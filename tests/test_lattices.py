@@ -308,6 +308,49 @@ def test_lattice_from_json_rejects_non_lattice():
         lattice_from_json_dict({"elements": ["a", "b"], "leq": []})
 
 
+@pytest.mark.parametrize(
+    "elements, leq, message",
+    [
+        (["0", "1"], [["0", "x"]], "relation mentions unknown element '0' or 'x'"),
+        (["0", "0", "1"], [], "duplicate element ids"),
+        (
+            ["0", "a", "b", "1"],
+            [["0", "a"], ["a", "b"], ["b", "a"], ["b", "1"]],
+            "antisymmetry fails between 'a' and 'b'",
+        ),
+        (["a", "b", "1"], [["a", "1"], ["b", "1"]], "no meet for 'a', 'b'"),
+        (["0", "a", "b"], [["0", "a"], ["0", "b"]], "no join for 'a', 'b'"),
+        (
+            ["0", "a", "b", "c", "1"],
+            [["0", "a"], ["0", "b"], ["0", "c"], ["a", "1"], ["b", "1"], ["c", "1"]],
+            "distributivity fails at a='a' b='b' c='c'",
+        ),
+        ([], [], "empty carrier"),
+    ],
+    ids=["bad-pair", "duplicate", "cycle", "no-meet", "no-join", "m3", "empty"],
+)
+def test_json_lattice_keeps_the_report_message(elements, leq, message):
+    with pytest.raises(LatticeError) as exc:
+        lattice_from_json_dict({"elements": elements, "leq": leq})
+    assert str(exc.value) == message
+
+
+def test_json_lattice_runs_validate_order_only_when_construction_fails(monkeypatch):
+    calls = []
+    validate = lattices.validate_order
+
+    def counting(elements, relation):
+        calls.append(elements)
+        return validate(elements, relation)
+
+    monkeypatch.setattr(lattices, "validate_order", counting)
+    lattice_from_json_dict(diamond().to_json_dict())
+    assert calls == []
+    with pytest.raises(LatticeError):
+        lattice_from_json_dict({"elements": ["a", "b"], "leq": []})
+    assert len(calls) == 1
+
+
 def test_json_round_trip():
     lat = lat3()
     again = lattice_from_json_dict(json.loads(json.dumps(lat.to_json_dict())))

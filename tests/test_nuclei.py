@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from esakia import nuclei
 from esakia.duality import dual_space, phi
 from esakia.errors import NucleusError, SizeBoundError, SubsetError
 from esakia.lattices import (
+    FiniteLattice,
     birkhoff_lattice,
     complement_of,
     is_boolean,
@@ -33,6 +35,7 @@ from esakia.nuclei import (
     w_decomposition_check,
 )
 from esakia.posets import FinitePoset, enumerate_posets, find_isomorphism
+from esakia.spaces import enumerate_topologies, open_frame
 
 from conftest import posets
 
@@ -104,6 +107,77 @@ def test_nuclear_set_round_trip():
         assert to_nuclear_set(space, from_nuclear_set(space, mask)) == mask
 
 
+def small_frames():
+    for n in range(4):
+        for s in enumerate_topologies(n):
+            yield open_frame(s)
+    for n in range(5):
+        for p in enumerate_posets(n):
+            yield birkhoff_lattice(p)
+
+
+def test_nuclear_set_memos_agree_with_a_fresh_lattice():
+    for lat in small_frames():
+        space = dual_space(lat)
+        js = enumerate_nuclei_oracle(lat)
+        masks = range(space.poset.full_mask + 1)
+        for j in js:
+            to_nuclear_set(space, j)
+        for mask in masks:
+            from_nuclear_set(space, mask)
+        # each cold value comes from a lattice whose memos are empty
+        for j in reversed(js):
+            cold = to_nuclear_set(dual_space(FiniteLattice(lat.poset)), j)
+            assert to_nuclear_set(space, j) == cold
+        for mask in reversed(masks):
+            cold = from_nuclear_set(dual_space(FiniteLattice(lat.poset)), mask)
+            assert from_nuclear_set(space, mask) == cold
+        assert sorted(to_nuclear_set(space, j) for j in js) == list(masks)
+        assert sorted(from_nuclear_set(space, m).values for m in masks) == sorted(
+            j.values for j in js
+        )
+
+
+def test_from_nuclear_set_rejects_an_outside_mask_before_and_after_the_memo_fills():
+    space = dual_space(lat3())
+    outside = 1 << space.n
+    with pytest.raises(SubsetError):
+        from_nuclear_set(space, outside)
+    for mask in range(outside):
+        from_nuclear_set(space, mask)
+    with pytest.raises(SubsetError):
+        from_nuclear_set(space, outside)
+
+
+def test_the_top_nucleus_round_trips_through_the_empty_set():
+    lat = lat3()
+    space = dual_space(lat)
+    top = top_nucleus(lat)
+    for _ in range(2):
+        assert to_nuclear_set(space, top) == 0
+        assert from_nuclear_set(space, 0) == top
+
+
+def test_nuclei_join_cross_check_reads_past_the_memo():
+    lat = lat3()
+    space = dual_space(lat)
+    um, dneg = make_u(lat, lat.index("m")), make_w(lat, lat.bot)
+    joined = nuclei_join(lat, space, [um, dneg])
+    memo = lat._cache["from_nuclear_set"]
+    memo[to_nuclear_set(space, joined)] = identity_nucleus(lat)
+    with pytest.raises(NucleusError, match="disagrees with the iteration oracle"):
+        nuclei_join(lat, space, [um, dneg])
+
+
+def test_assembly_frame_catches_a_broken_round_trip(monkeypatch):
+    convert = nuclei.to_nuclear_set
+    monkeypatch.setattr(
+        nuclei, "to_nuclear_set", lambda space, j: convert(space, j) ^ 1
+    )
+    with pytest.raises(NucleusError, match="nuclear set round trip failed"):
+        assembly_frame(lat3())
+
+
 def test_every_subset_is_nuclear_on_an_eleven_point_dual():
     space = dual_space(birkhoff_lattice(FinitePoset.chain(11)))
     assert space.n == 11
@@ -163,6 +237,7 @@ def test_meet_and_join_of_nuclei():
     assert to_nuclear_set(space, nuclei_meet(lat, [um, dneg])) == s1 | s2
     assert nuclear_sets_meet(space, [s1, s2]) == s1 & s2
     assert nuclei_meet(lat, []).values == top_nucleus(lat).values
+    assert nuclei_join(lat, space, []).values == identity_nucleus(lat).values
 
 
 def test_fixpoint_frames_on_three_chain():

@@ -10,6 +10,7 @@ from esakia.lattices import is_scattered_frame
 from esakia.nuclei import (
     Nucleus,
     enumerate_nuclei_oracle,
+    identity_nucleus,
     make_w,
     to_nuclear_set,
     top_nucleus,
@@ -234,6 +235,15 @@ def test_sigma_validates_each_table_once_per_space(monkeypatch):
 def test_sigma_frame_hom_catches_a_wrong_meet(monkeypatch):
     monkeypatch.setattr(
         spaces, "nuclei_meet", lambda frame, js: top_nucleus(frame)
+    )
+    rep = simmons_isbell_report(sierpinski())
+    assert not rep.sigma_frame_hom
+    assert not rep.ok
+
+
+def test_sigma_frame_hom_catches_a_wrong_join(monkeypatch):
+    monkeypatch.setattr(
+        spaces, "nuclei_join", lambda frame, dual, js: identity_nucleus(frame)
     )
     rep = simmons_isbell_report(sierpinski())
     assert not rep.sigma_frame_hom
