@@ -13,8 +13,9 @@ from .errors import BoundSettingError
 _DEFAULTS = {
     # largest n for enumerate_posets(n)
     "ESAKIA_POSET_BOUND": 6,
-    # largest lattice carrier for the subset-scan nucleus oracle
-    "ESAKIA_ORACLE_BOUND": 16,
+    # largest lattice carrier for the closure-system (NextClosure) nucleus
+    # oracle: 64 is the largest Birkhoff lattice of a 6-element poset
+    "ESAKIA_ORACLE_BOUND": 64,
     # largest n for enumerate_topologies(n)
     "ESAKIA_TOPOLOGY_BOUND": 4,
     # largest dual-space size for building the assembly as a lattice

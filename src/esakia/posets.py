@@ -35,8 +35,6 @@ __all__ = [
     "up_closure",
     "down_closure",
     "maximal_points",
-    "minimal_points",
-    "is_upset",
     "is_downset",
     "upset_masks",
     "find_isomorphism",
@@ -299,19 +297,6 @@ def maximal_points(poset: FinitePoset, mask: int) -> int:
         if poset._up[i] & mask == 1 << i:
             out |= 1 << i
     return out
-
-
-def minimal_points(poset: FinitePoset, mask: int) -> int:
-    poset.check_mask(mask)
-    out = 0
-    for i in iter_bits(mask):
-        if poset._down[i] & mask == 1 << i:
-            out |= 1 << i
-    return out
-
-
-def is_upset(poset: FinitePoset, mask: int) -> bool:
-    return up_closure(poset, mask) == mask
 
 
 def is_downset(poset: FinitePoset, mask: int) -> bool:

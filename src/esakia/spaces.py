@@ -193,14 +193,22 @@ class FiniteSpace:
             if x != y
         )
 
+    def closure_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per point x: the closure of {x}, and the class of points that
+        share it.  Memoised in ``_cache["closure_table"]``."""
+        got = self._cache.get("closure_table")
+        if got is None:
+            closures = tuple(self.closure(1 << x) for x in range(self.n))
+            classes = tuple(
+                sum(1 << y for y, d in enumerate(closures) if d == c) for c in closures
+            )
+            got = (closures, classes)
+            self._cache["closure_table"] = got
+        return got
+
     def equiv_class(self, x: int) -> int:
         """Points sharing the closure of x."""
-        cx = self.closure(1 << x)
-        out = 0
-        for y in range(self.n):
-            if self.closure(1 << y) == cx:
-                out |= 1 << y
-        return out
+        return self.closure_table()[1][x]
 
     # -- constructors and JSON --
 
@@ -430,7 +438,7 @@ def is_sober(space: FiniteSpace) -> bool:
                 break
         if not irreducible:
             continue
-        generic = [x for x in range(space.n) if space.closure(1 << x) == f]
+        generic = [x for x, c in enumerate(space.closure_table()[0]) if c == f]
         if len(generic) != 1:
             return False
     return True
@@ -463,8 +471,9 @@ def classify_point(space: FiniteSpace, t_mask: int, x: int) -> PointClassificati
     if not t_mask >> x & 1:
         raise SpaceError("the point must belong to the subset")
     bit = 1 << x
-    cl = space.closure(bit)
-    cls_mask = space.equiv_class(x)
+    closures, classes = space.closure_table()
+    cl = closures[x]
+    cls_mask = classes[x]
     isolated = any(u & t_mask == bit for u in space.opens)
     weakly = any(u >> x & 1 and (u & t_mask) & ~cl == 0 for u in space.opens)
     detached = any(u >> x & 1 and (u & t_mask) & ~cls_mask == 0 for u in space.opens)
@@ -737,9 +746,9 @@ class SimmonsIsbellReport:
 
 def simmons_isbell_report(space: FiniteSpace) -> SimmonsIsbellReport:
     """Each side of the Simmons and Isbell dichotomies, computed on its
-    own and compared.  Nuclei come from the subset-scan oracle so that
-    sigma's injectivity is decided on a list the assembly did not
-    produce."""
+    own and compared.  Nuclei come from the closure-system (NextClosure)
+    oracle so that sigma's injectivity is decided on a list the assembly
+    did not produce."""
     frame = open_frame(space)
     dual = dual_space(frame)
     asm = assembly_frame(frame)

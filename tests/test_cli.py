@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from esakia import cli, dot
-from esakia.lattices import lattice_from_json_dict
+from esakia.lattices import birkhoff_lattice, lattice_from_json_dict
 from esakia.posets import FinitePoset
 from esakia.spaces import FiniteSpace
 
@@ -99,6 +99,26 @@ def test_exit_code_invalid_model(capsys):
 
 def test_exit_code_size_bound(capsys):
     assert cli.main(["sweep", "posets", "--n", "40", "--suite", "duality"]) == 5
+
+
+@pytest.mark.parametrize("suite", ["assembly", "wdecomp"])
+def test_nucleus_oracle_sweeps_pass_at_five_points(capsys, suite):
+    code, out = run(capsys, "sweep", "posets", "--n", "5", "--suite", suite)
+    assert code == 0
+    data = json.loads(out)
+    assert data["instances"] == data["passes"] == 63 and data["ok"]
+
+
+def test_oracle_bound_variable_still_refuses(capsys, monkeypatch):
+    lattice = json.dumps(birkhoff_lattice(FinitePoset.antichain(4)).to_json_dict())
+    monkeypatch.setenv("ESAKIA_ORACLE_BOUND", "8")
+    assert cli.main(["nuclei", "--lattice", lattice, "--count"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: nucleus oracle refused for 16 elements (bound 8)\n"
+    monkeypatch.delenv("ESAKIA_ORACLE_BOUND")
+    code, out = run(capsys, "nuclei", "--lattice", lattice, "--count")
+    assert code == 0 and out == "16\n"
 
 
 @pytest.mark.parametrize("value", ["abc", "-1"])

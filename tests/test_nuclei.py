@@ -20,7 +20,6 @@ from esakia.nuclei import (
     identity_nucleus,
     is_assembly_boolean,
     is_nuclear,
-    make_nucleus,
     make_u,
     make_v,
     make_w,
@@ -34,10 +33,48 @@ from esakia.nuclei import (
     validate_nucleus,
     w_decomposition_check,
 )
-from esakia.posets import FinitePoset, enumerate_posets, find_isomorphism
+from esakia.posets import FinitePoset, enumerate_posets, find_isomorphism, iter_bits
 from esakia.spaces import enumerate_topologies, open_frame
 
 from conftest import posets
+
+
+def make_nucleus(lattice, values):
+    """A validated nucleus, raising on a table that fails an axiom."""
+    report = validate_nucleus(lattice, values)
+    if not report.ok:
+        raise NucleusError(f"not a nucleus: {report}")
+    return nuclei.Nucleus(tuple(values))
+
+
+def scan_nuclei_oracle(lattice):
+    """The literal small-n oracle: every subset of the carrier that
+    contains the top and is closed under binary meet and under a -> s
+    induces the nucleus a -> meet of its members above a; candidates are
+    scanned in ascending mask order."""
+    n = lattice.n
+    imp_into = []
+    for s in range(n):
+        m = 0
+        for a in range(n):
+            m |= 1 << lattice.imp(a, s)
+        imp_into.append(m)
+    up = lattice.poset._up
+    out = []
+    for cand in range(1 << n):
+        if not cand >> lattice.top & 1:
+            continue
+        members = list(iter_bits(cand))
+        if any(imp_into[s] & ~cand for s in members):
+            continue
+        if any(
+            not cand >> lattice.meet(s, t) & 1 for s in members for t in members
+        ):
+            continue
+        out.append(
+            tuple(lattice.meet_all(iter_bits(cand & up[a])) for a in range(n))
+        )
+    return out
 
 
 def lat3():
@@ -63,6 +100,45 @@ def test_three_chain_has_exactly_four_nuclei():
 
 def test_four_chain_has_eight_nuclei():
     assert len(enumerate_nuclei_oracle(chain_frame(4))) == 8
+
+
+def test_next_closure_matches_the_literal_scan():
+    # same list in the same order, on every open frame of a topology and
+    # every Birkhoff lattice with n <= 4
+    frames = 0
+    for lat in small_frames(max_topology_n=4):
+        got = [j.values for j in enumerate_nuclei_oracle(lat)]
+        assert got == scan_nuclei_oracle(lat)
+        frames += 1
+    assert frames == 390 + 25
+
+
+@given(posets(max_size=4))
+@settings(deadline=None)
+def test_next_closure_matches_the_literal_scan_on_random_posets(p):
+    lat = birkhoff_lattice(p)
+    got = [j.values for j in enumerate_nuclei_oracle(lat)]
+    assert got == scan_nuclei_oracle(lat)
+
+
+def test_every_oracle_nucleus_is_a_nucleus():
+    # a closed fixpoint set induces a nucleus: the oracle itself does not
+    # validate what it returns, so the theorem is checked here
+    lats = [birkhoff_lattice(p) for n in range(6) for p in enumerate_posets(n)]
+    lats += [open_frame(s) for n in range(5) for s in enumerate_topologies(n)]
+    for lat in lats:
+        for j in enumerate_nuclei_oracle(lat):
+            assert validate_nucleus(lat, j.values).ok
+
+
+def test_oracle_reaches_the_sixty_four_element_bound():
+    lat = birkhoff_lattice(FinitePoset.antichain(6))
+    assert lat.n == 64
+    js = enumerate_nuclei_oracle(lat)
+    assert len(js) == 64
+    assert js[0] == top_nucleus(lat) and js[-1] == identity_nucleus(lat)
+    with pytest.raises(SizeBoundError, match=r"refused for 64 elements \(bound 63\)"):
+        enumerate_nuclei_oracle(lat, bound=63)
 
 
 def test_closed_open_boundary_nuclei_on_three_chain():
@@ -107,8 +183,8 @@ def test_nuclear_set_round_trip():
         assert to_nuclear_set(space, from_nuclear_set(space, mask)) == mask
 
 
-def small_frames():
-    for n in range(4):
+def small_frames(max_topology_n=3):
+    for n in range(max_topology_n + 1):
         for s in enumerate_topologies(n):
             yield open_frame(s)
     for n in range(5):

@@ -12,15 +12,28 @@ from esakia.posets import (
     find_isomorphism,
     inclusion_up_masks,
     is_downset,
-    is_upset,
     iter_bits,
     maximal_points,
-    minimal_points,
     up_closure,
     upset_masks,
 )
 
 from conftest import posets
+
+
+def minimal_points(poset, mask):
+    """The literal oracle: members of mask with no other member below."""
+    poset.check_mask(mask)
+    out = 0
+    for i in iter_bits(mask):
+        if poset._down[i] & mask == 1 << i:
+            out |= 1 << i
+    return out
+
+
+def is_upset(poset, mask):
+    """The literal oracle: mask equals its own up-closure."""
+    return up_closure(poset, mask) == mask
 
 # isomorphism classes of posets on 1..5 points
 POSET_COUNTS = [1, 2, 5, 16, 63]

@@ -85,6 +85,50 @@ def test_interior_closure_specialization():
     assert s.is_t0()
 
 
+def literal_point_closure(space, x):
+    """The meet of the closed sets that contain x, scanned per call."""
+    out = space.full_mask
+    for c in space.closed_masks():
+        if c >> x & 1:
+            out &= c
+    return out
+
+
+def test_closure_table_matches_the_literal_scans():
+    for n in range(5):
+        for s in enumerate_topologies(n):
+            closures = tuple(literal_point_closure(s, x) for x in range(s.n))
+            classes = tuple(
+                sum(1 << y for y in range(s.n) if closures[y] == cx)
+                for cx in closures
+            )
+            assert s.closure_table() == (closures, classes)
+            assert tuple(s.equiv_class(x) for x in range(s.n)) == classes
+            # a fresh space with the same opens computes its own table
+            s._cache["closure_table"] = ((0,) * s.n, (0,) * s.n)
+            fresh = FiniteSpace(s.points, s.opens)
+            assert "closure_table" not in fresh._cache
+            assert fresh.closure_table() == (closures, classes)
+            assert all(s.equiv_class(x) == 0 for x in range(s.n))
+
+
+def test_point_classification_closes_each_point_once(monkeypatch):
+    calls = []
+    closure = FiniteSpace.closure
+
+    def counting_closure(space, mask):
+        calls.append((id(space), mask))
+        return closure(space, mask)
+
+    monkeypatch.setattr(FiniteSpace, "closure", counting_closure)
+    for s in enumerate_topologies(3):
+        calls.clear()
+        scatter_report(s)  # also classifies the points of the T0-reflection
+        is_sober(s)
+        assert len(calls) == len(set(calls))
+        assert sorted(m for i, m in calls if i == id(s)) == [1 << x for x in range(s.n)]
+
+
 def test_from_preorder_round_trips_the_specialization():
     s = FiniteSpace.from_preorder(["a", "b", "c"], [("a", "b"), ("b", "c")])
     up = s.specialization()
