@@ -13,8 +13,9 @@ from .errors import BoundSettingError
 _DEFAULTS = {
     # largest n for enumerate_posets(n)
     "ESAKIA_POSET_BOUND": 6,
-    # largest lattice carrier for the closure-system (NextClosure) nucleus
-    # oracle: 64 is the largest Birkhoff lattice of a 6-element poset
+    # largest lattice carrier, and largest nucleus count 2^|J(L)|, for the
+    # closure-system (NextClosure) nucleus oracle: 64 is the largest
+    # Birkhoff lattice of a 6-element poset, and its nucleus count
     "ESAKIA_ORACLE_BOUND": 64,
     # largest n for enumerate_topologies(n)
     "ESAKIA_TOPOLOGY_BOUND": 4,

@@ -296,11 +296,21 @@ def enumerate_nuclei_oracle(lattice: FiniteLattice, *, bound: int | None = None)
     order: from a closed set A, the next one is the closure B of
     (A above i) + {i} for the least i outside A whose B gains no bit
     above i outside A.  Output is ordered by ascending fixpoint-set mask.
+
+    NextClosure's work grows with its output, and a finite distributive
+    lattice with k join-irreducibles has exactly 2^k nuclei, so the bound
+    caps that count as well as the carrier.
     """
     cap = oracle_bound() if bound is None else bound
     n = lattice.n
     if n > cap:
         raise SizeBoundError(f"nucleus oracle refused for {n} elements (bound {cap})")
+    k = lattice.base.n
+    if 1 << k > cap:
+        raise SizeBoundError(
+            f"nucleus oracle refused for {n} elements: {k} join-irreducibles"
+            f" give 2^{k} nuclei (bound {cap})"
+        )
     imp_into = []
     for s in range(n):
         m = 0

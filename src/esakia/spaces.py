@@ -193,7 +193,7 @@ class FiniteSpace:
             if x != y
         )
 
-    def closure_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def _closure_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Per point x: the closure of {x}, and the class of points that
         share it.  Memoised in ``_cache["closure_table"]``."""
         got = self._cache.get("closure_table")
@@ -208,7 +208,7 @@ class FiniteSpace:
 
     def equiv_class(self, x: int) -> int:
         """Points sharing the closure of x."""
-        return self.closure_table()[1][x]
+        return self._closure_table()[1][x]
 
     # -- constructors and JSON --
 
@@ -438,7 +438,7 @@ def is_sober(space: FiniteSpace) -> bool:
                 break
         if not irreducible:
             continue
-        generic = [x for x, c in enumerate(space.closure_table()[0]) if c == f]
+        generic = [x for x, c in enumerate(space._closure_table()[0]) if c == f]
         if len(generic) != 1:
             return False
     return True
@@ -471,7 +471,7 @@ def classify_point(space: FiniteSpace, t_mask: int, x: int) -> PointClassificati
     if not t_mask >> x & 1:
         raise SpaceError("the point must belong to the subset")
     bit = 1 << x
-    closures, classes = space.closure_table()
+    closures, classes = space._closure_table()
     cl = closures[x]
     cls_mask = classes[x]
     isolated = any(u & t_mask == bit for u in space.opens)

@@ -121,6 +121,19 @@ def test_oracle_bound_variable_still_refuses(capsys, monkeypatch):
     assert code == 0 and out == "16\n"
 
 
+@pytest.mark.parametrize("verb", [["nuclei", "--count"], ["check", "--wdecomp"]])
+def test_oracle_refuses_a_long_chain_by_its_nucleus_count(capsys, verb):
+    # 20 elements fit the carrier bound, but 19 join-irreducibles give 2^19 nuclei
+    lattice = json.dumps(birkhoff_lattice(FinitePoset.chain(19)).to_json_dict())
+    assert cli.main([verb[0], "--lattice", lattice, *verb[1:]]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: nucleus oracle refused for 20 elements:"
+        " 19 join-irreducibles give 2^19 nuclei (bound 64)\n"
+    )
+
+
 @pytest.mark.parametrize("value", ["abc", "-1"])
 def test_exit_code_bad_bound_variable(capsys, monkeypatch, value):
     monkeypatch.setenv("ESAKIA_POSET_BOUND", value)

@@ -141,6 +141,14 @@ def test_oracle_reaches_the_sixty_four_element_bound():
         enumerate_nuclei_oracle(lat, bound=63)
 
 
+def test_oracle_bound_caps_the_nucleus_count():
+    # a 7-chain has 7 elements but 6 join-irreducibles, so 64 nuclei
+    lat = birkhoff_lattice(FinitePoset.chain(6))
+    assert len(enumerate_nuclei_oracle(lat, bound=64)) == 64
+    with pytest.raises(SizeBoundError, match=r"6 join-irreducibles give 2\^6 nuclei \(bound 63\)"):
+        enumerate_nuclei_oracle(lat, bound=63)
+
+
 def test_closed_open_boundary_nuclei_on_three_chain():
     lat = lat3()
     z, m, o = (lat.index(x) for x in ("0", "m", "1"))
