@@ -395,23 +395,10 @@ def meet_primes(lattice: FiniteLattice) -> int:
 
 @dataclass(frozen=True)
 class Filter:
-    """A principal proper filter, with its primality flags."""
+    """A principal proper filter: its generator and its member mask."""
 
     generator: int
     members: int
-    prime: bool
-    completely_prime: bool
-
-
-def _principal_prime(lattice: FiniteLattice, g: int) -> bool:
-    n = lattice.n
-    for x in range(n):
-        if lattice.poset.leq_i(g, x):
-            continue
-        for y in range(x, n):
-            if lattice.poset.leq_i(g, lattice.join_t[x][y]) and not lattice.poset.leq_i(g, y):
-                return False
-    return True
 
 
 def _principal_completely_prime(lattice: FiniteLattice, g: int) -> bool:
@@ -422,44 +409,28 @@ def _principal_completely_prime(lattice: FiniteLattice, g: int) -> bool:
 
 
 def prime_filters(lattice: FiniteLattice) -> list[Filter]:
-    """All prime filters, as principal filters at their generators.
+    """All prime filters, as principal filters at the join-irreducibles.
 
-    Every filter of a finite lattice is principal, and a principal filter
-    can only be prime when its generator is join-irreducible; primality is
-    then verified against the pairwise definition.
+    Every filter of a finite lattice is principal, up(g) is prime iff g
+    is join-prime, and in a distributive lattice (the only kind
+    FiniteLattice admits) the join-prime elements are exactly the
+    join-irreducible ones.  ``points`` compares this list with
+    ``completely_prime_filters``, the one place the two are compared.
     """
-    irr = join_irreducibles(lattice)
-    out = []
-    for g in iter_bits(irr):
-        if _principal_prime(lattice, g):
-            out.append(
-                Filter(
-                    generator=g,
-                    members=lattice.poset.up_mask(g),
-                    prime=True,
-                    completely_prime=_principal_completely_prime(lattice, g),
-                )
-            )
-    return out
+    up = lattice.poset.up_mask
+    return [Filter(g, up(g)) for g in iter_bits(join_irreducibles(lattice))]
 
 
 def completely_prime_filters(lattice: FiniteLattice) -> list[Filter]:
     """All completely prime filters, by the complement-join test over every
     proper principal filter (no irreducibility shortcut)."""
-    out = []
-    for g in range(lattice.n):
-        if g == lattice.bot:
-            continue  # the improper filter
-        if _principal_completely_prime(lattice, g):
-            out.append(
-                Filter(
-                    generator=g,
-                    members=lattice.poset.up_mask(g),
-                    prime=_principal_prime(lattice, g),
-                    completely_prime=True,
-                )
-            )
-    return out
+    up = lattice.poset.up_mask
+    return [
+        Filter(g, up(g))
+        for g in range(lattice.n)
+        if g != lattice.bot  # the improper filter
+        and _principal_completely_prime(lattice, g)
+    ]
 
 
 def points(lattice: FiniteLattice) -> list[Filter]:
@@ -468,11 +439,8 @@ def points(lattice: FiniteLattice) -> list[Filter]:
     if cached is not None:
         return cached
     pf = prime_filters(lattice)
-    cpf = completely_prime_filters(lattice)
-    if [f.generator for f in pf] != [f.generator for f in cpf]:
+    if pf != completely_prime_filters(lattice):
         raise LatticeError("prime and completely prime filters disagree")
-    if any(not (f.prime and f.completely_prime) for f in pf + cpf):
-        raise LatticeError("primality flags disagree between the two routes")
     lattice._cache["points"] = pf
     return pf
 

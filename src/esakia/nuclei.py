@@ -492,13 +492,13 @@ class TowerResult:
         return [stage.n for stage in self.stages]
 
 
-def tower(lattice: FiniteLattice, k: int = 2, *, bound: int | None = None) -> TowerResult:
+def tower(lattice: FiniteLattice, k: int = 2) -> TowerResult:
     """Iterate the assembly k times, embedding each stage by a -> u_a.
 
     On a finite frame the first assembly is Boolean, so every later stage
     repeats its size 2^|dual points|.
     """
-    cap = tower_bound() if bound is None else bound
+    cap = tower_bound()
     if k > cap:
         raise SizeBoundError(f"tower depth {k} exceeds bound {cap}")
     if k >= 2 and dual_space(lattice).n > 3:

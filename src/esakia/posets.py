@@ -36,6 +36,8 @@ __all__ = [
     "down_closure",
     "maximal_points",
     "is_downset",
+    "image_mask",
+    "preimage_mask",
     "upset_masks",
     "find_isomorphism",
     "enumerate_posets",
@@ -303,6 +305,23 @@ def is_downset(poset: FinitePoset, mask: int) -> bool:
     return down_closure(poset, mask) == mask
 
 
+def image_mask(mask: int, mapping: Sequence[int]) -> int:
+    """The image of a subset under the index map i -> mapping[i]."""
+    out = 0
+    for i in iter_bits(mask):
+        out |= 1 << mapping[i]
+    return out
+
+
+def preimage_mask(mask: int, mapping: Sequence[int]) -> int:
+    """The indices i with mapping[i] in the subset."""
+    out = 0
+    for i, c in enumerate(mapping):
+        if mask >> c & 1:
+            out |= 1 << i
+    return out
+
+
 def upset_masks(poset: FinitePoset) -> tuple[int, ...]:
     """All upsets of the poset, ascending by mask value."""
     n = poset.n
@@ -505,9 +524,9 @@ def _poset_reps(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(seen))
 
 
-def enumerate_posets(n: int, *, bound: int | None = None) -> list[FinitePoset]:
+def enumerate_posets(n: int) -> list[FinitePoset]:
     """All posets on n elements up to isomorphism, deterministically ordered."""
-    cap = poset_bound() if bound is None else bound
+    cap = poset_bound()
     if n > cap:
         raise SizeBoundError(f"enumerate_posets({n}) exceeds bound {cap}")
     labels = [f"p{i}" for i in range(n)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import topology_bound
-from .duality import dual_space
+from .duality import dual_space, phi_table
 from .errors import SpaceError, SizeBoundError
 from .lattices import (
     FiniteLattice,
@@ -37,11 +37,13 @@ from .posets import (
     FinitePoset,
     _close,
     _relation_isomorphism,
+    image_mask,
     inclusion_up_masks,
     iter_bits,
+    preimage_mask,
     set_label,
 )
-from .spatial import _front_opens, front_open_masks
+from .spatial import _front_opens, _front_opens_cached
 
 __all__ = [
     "FiniteSpace",
@@ -285,18 +287,10 @@ class QuotientMap:
     mapping: tuple[int, ...]
 
     def image_mask(self, mask: int) -> int:
-        out = 0
-        for i in iter_bits(self.source.check_mask(mask)):
-            out |= 1 << self.mapping[i]
-        return out
+        return image_mask(self.source.check_mask(mask), self.mapping)
 
     def preimage_mask(self, mask: int) -> int:
-        self.target.check_mask(mask)
-        out = 0
-        for i, c in enumerate(self.mapping):
-            if mask >> c & 1:
-                out |= 1 << i
-        return out
+        return preimage_mask(self.target.check_mask(mask), self.mapping)
 
 
 def t0_reflection(space: FiniteSpace) -> tuple[FiniteSpace, QuotientMap]:
@@ -318,23 +312,16 @@ def t0_reflection(space: FiniteSpace) -> tuple[FiniteSpace, QuotientMap]:
             k for k, m in enumerate(classes) if m >> x & 1
         )
     names = ["|".join(space.points[i] for i in iter_bits(m)) for m in classes]
-
-    def img(mask: int) -> int:
-        out = 0
-        for i in iter_bits(mask):
-            out |= 1 << mapping[i]
-        return out
-
-    target = FiniteSpace(names, (img(u) for u in space.opens))
+    target = FiniteSpace(names, (image_mask(u, mapping) for u in space.opens))
     rho = QuotientMap(space, target, tuple(mapping))
     if not target.is_t0():
         raise SpaceError("reflection failed to be T0")  # unreachable
     for u in space.opens:
-        if rho.preimage_mask(img(u)) != u:
+        if rho.preimage_mask(rho.image_mask(u)) != u:
             raise SpaceError("quotient map is not continuous")  # unreachable
     closed_t = set(target.closed_masks())
     for c in space.closed_masks():
-        if img(c) not in closed_t:
+        if rho.image_mask(c) not in closed_t:
             raise SpaceError("quotient map is not closed")  # unreachable
     got = (target, rho)
     space._cache["t0_reflection"] = got
@@ -349,13 +336,7 @@ def find_homeomorphism(a: FiniteSpace, b: FiniteSpace) -> dict[str, str] | None:
     perm = _relation_isomorphism(a.specialization(), b.specialization())
     if perm is None:
         return None
-    mapped = set()
-    for u in a.opens:
-        out = 0
-        for i in iter_bits(u):
-            out |= 1 << perm[i]
-        mapped.add(out)
-    if mapped != set(b.opens):
+    if {image_mask(u, perm) for u in a.opens} != set(b.opens):
         return None
     return {a.points[i]: b.points[perm[i]] for i in range(a.n)}
 
@@ -371,41 +352,23 @@ class Soberification:
 def soberification(space: FiniteSpace) -> Soberification:
     """The space of completely prime filters of the open frame.
 
-    eps sends a point to the filter of its neighbourhoods.  The induced
-    map of open frames is checked to be an isomorphism, and the result is
-    checked homeomorphic to the T0-reflection.
+    The sober points are the points of the open frame's dual space, in
+    its order, and their opens are phi of each open.  eps sends a point to
+    the filter of its neighbourhoods.  The induced map of open frames is
+    checked to be an isomorphism, and the result is checked homeomorphic
+    to the T0-reflection.
     """
     got = space._cache.get("soberification")
     if got is not None:
         return got
     frame = open_frame(space)
-    pts = points(frame)
-    names = [f"y{frame.labels[f.generator]}" for f in pts]
-    traces = []
-    for a in range(frame.n):
-        m = 0
-        for k, f in enumerate(pts):
-            if f.members >> a & 1:
-                m |= 1 << k
-        traces.append(m)
+    names = [f"y{frame.labels[f.generator]}" for f in points(frame)]
+    traces = phi_table(dual_space(frame))
     sober = FiniteSpace(names, traces)
-    by_members = {f.members: k for k, f in enumerate(pts)}
-    eps = []
-    for s in range(space.n):
-        fm = 0
-        for a, u in enumerate(space.opens):
-            if u >> s & 1:
-                fm |= 1 << a
-        if fm not in by_members:
-            raise SpaceError("neighbourhood filter of a point is not prime")  # unreachable
-        eps.append(by_members[fm])
+    eps = _eps_to_dual(space)
     # continuity: the preimage of each basic open is the open it came from
     for a, u in enumerate(space.opens):
-        pre = 0
-        for s in range(space.n):
-            if traces[a] >> eps[s] & 1:
-                pre |= 1 << s
-        if pre != u:
+        if preimage_mask(traces[a], eps) != u:
             raise SpaceError("eps is not continuous")  # unreachable
     iso = len(set(traces)) == frame.n and all(
         (u & ~v == 0) == (traces[i] & ~traces[k] == 0)
@@ -414,7 +377,7 @@ def soberification(space: FiniteSpace) -> Soberification:
     )
     t0_space, _ = t0_reflection(space)
     got = Soberification(
-        sober, tuple(eps), iso, find_homeomorphism(sober, t0_space) is not None
+        sober, eps, iso, find_homeomorphism(sober, t0_space) is not None
     )
     space._cache["soberification"] = got
     return got
@@ -584,20 +547,19 @@ def sigma(space: FiniteSpace, j: Nucleus) -> int:
 
 
 def _eps_to_dual(space: FiniteSpace) -> tuple[int, ...]:
-    """eps landing in the dual space of the open frame; the sober points
-    carry the same filters, so the two codomains are identified by
-    matching filter members."""
+    """eps: each point to the dual point of the open frame whose filter is
+    its neighbourhood filter.  The sober points of ``soberification`` are
+    the dual points in the same order, so this is eps there too."""
     got = space._cache.get("eps_dual")
     if got is None:
-        frame = open_frame(space)
-        dual = dual_space(frame)
+        dual = dual_space(open_frame(space))
+        at = {fm: k for k, fm in enumerate(dual.filters)}
         out = []
         for s in range(space.n):
-            fm = 0
-            for a, u in enumerate(space.opens):
-                if u >> s & 1:
-                    fm |= 1 << a
-            out.append(dual.filters.index(fm))
+            fm = sum(1 << a for a, u in enumerate(space.opens) if u >> s & 1)
+            if fm not in at:
+                raise SpaceError("neighbourhood filter of a point is not prime")  # unreachable
+            out.append(at[fm])
         got = tuple(out)
         space._cache["eps_dual"] = got
     return got
@@ -606,11 +568,7 @@ def _eps_to_dual(space: FiniteSpace) -> tuple[int, ...]:
 def delta(space: FiniteSpace, nuclear_mask: int) -> int:
     """Preimage of a nuclear set under eps; front-closed."""
     dual_space(open_frame(space)).poset.check_mask(nuclear_mask)
-    eps = _eps_to_dual(space)
-    out = 0
-    for s in range(space.n):
-        if nuclear_mask >> eps[s] & 1:
-            out |= 1 << s
+    out = preimage_mask(nuclear_mask, _eps_to_dual(space))
     front = front_topology(space)
     if out not in set(front.closed_masks()):
         raise SpaceError("delta produced a set that is not front-closed")  # unreachable
@@ -657,26 +615,13 @@ def compactification_check(space: FiniteSpace) -> CompactificationReport:
         eps_prime[rho.mapping[x]] = eps[x]
     injective = len(set(eps_prime)) == t0_space.n
     front_s0 = front_topology(t0_space)
-    dual_fronts = front_open_masks(dual.poset)
-    image = 0
-    for p in eps_prime:
-        image |= 1 << p
+    dual_fronts = _front_opens_cached(frame, dual)
+    image = image_mask(t0_space.full_mask, eps_prime)
     front_s0_opens = set(front_s0.opens)
-
-    def pull(mask: int) -> int:
-        out = 0
-        for k, p in enumerate(eps_prime):
-            if mask >> p & 1:
-                out |= 1 << k
-        return out
-
-    continuous = all(pull(m) in front_s0_opens for m in dual_fronts)
-    pushed = set()
-    for u in front_s0.opens:
-        out = 0
-        for k in iter_bits(u):
-            out |= 1 << eps_prime[k]
-        pushed.add(out)
+    continuous = all(
+        preimage_mask(m, eps_prime) in front_s0_opens for m in dual_fronts
+    )
+    pushed = {image_mask(u, eps_prime) for u in front_s0.opens}
     traces = {m & image for m in dual_fronts}
     homeo = injective and pushed == traces
     cl = dual.poset.full_mask
@@ -811,9 +756,9 @@ def regular_closed(space: FiniteSpace) -> tuple[int, ...]:
     )
 
 
-def enumerate_topologies(n: int, *, bound: int | None = None) -> list[FiniteSpace]:
+def enumerate_topologies(n: int) -> list[FiniteSpace]:
     """All labeled topologies on points 0..n-1, by scanning set families."""
-    cap = topology_bound() if bound is None else bound
+    cap = topology_bound()
     if n > cap:
         raise SizeBoundError(f"topology enumeration refused for {n} points (bound {cap})")
     pts = [str(i) for i in range(n)]

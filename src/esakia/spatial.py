@@ -5,7 +5,9 @@ are nuclear, the front topology is discrete, and the assembly is spatial.
 The value of running the checks is agreement between independent routes,
 so each quantity is computed at least twice (order-theoretically and
 through the dual space) and the routes are compared rather than assuming
-the constant outcome.
+the constant outcome.  The points themselves are compared once, where
+they are made: ``lattices.points`` checks that the prime filters are the
+completely prime ones, and the dual space is built from that list.
 
 Subsets of the dual space are bitmasks in the dual space's point
 indexing throughout, including subsets of the nuclear-point set.
@@ -89,21 +91,14 @@ def _front_opens_cached(lattice: FiniteLattice, space: EsakiaSpaceFin) -> tuple[
 
 
 def nuclear_points(lattice: FiniteLattice) -> PointSet:
-    """Points whose singleton is nuclear, cross-checked against the
-    completely prime filters, with the trace topology attached."""
+    """Points whose singleton is nuclear, with the trace topology attached
+    and checked against the specialization order of the dual space."""
     cached = lattice._cache.get("nuclear_points")
     if cached is not None:
         return cached
     space = dual_space(lattice)
     # every singleton of the discrete dual is nuclear (see is_nuclear)
     sing = space.poset.full_mask
-    via_filters = 0
-    for f in points(lattice):
-        via_filters |= 1 << space.filters.index(f.members)
-    if sing != via_filters:
-        raise NucleusError(
-            "nuclear singletons disagree with completely prime filters"
-        )
     table = phi_table(space)
     tau = tuple(sorted({table[a] & sing for a in range(lattice.n)}))
     for y in iter_bits(sing):

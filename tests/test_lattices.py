@@ -198,7 +198,21 @@ def literal_join_irreducibles(lat: FiniteLattice) -> int:
     return out
 
 
-def test_join_irreducibles_match_the_literal_definition():
+def principal_prime(lat: FiniteLattice, g: int) -> bool:
+    """Is up(g) prime?  The pairwise definition: x + y >= g forces x >= g
+    or y >= g."""
+    for x in range(lat.n):
+        if lat.leq(g, x):
+            continue
+        for y in range(x, lat.n):
+            if lat.leq(g, lat.join(x, y)) and not lat.leq(g, y):
+                return False
+    return True
+
+
+def small_lattices() -> list[FiniteLattice]:
+    """Birkhoff lattices of every poset with n <= 5 and their order duals,
+    and the open frames of every topology with n <= 3."""
     lats = []
     for n in range(1, 6):
         for p in enumerate_posets(n):
@@ -207,8 +221,27 @@ def test_join_irreducibles_match_the_literal_definition():
     for n in range(1, 4):
         lats += [open_frame(s) for s in enumerate_topologies(n)]
     assert len(lats) == 208
-    for lat in lats:
+    return lats
+
+
+def test_join_irreducibles_match_the_literal_definition():
+    for lat in small_lattices():
         assert join_irreducibles(lat) == literal_join_irreducibles(lat)
+
+
+def test_join_irreducibles_are_exactly_the_join_primes():
+    # prime_filters relies on this: in a distributive lattice the
+    # generators of the prime filters are the join-irreducibles
+    for lat in small_lattices():
+        primes = sum(
+            1 << g for g in range(lat.n) if g != lat.bot and principal_prime(lat, g)
+        )
+        assert primes == join_irreducibles(lat)
+
+
+def test_prime_filters_equal_completely_prime_filters():
+    for lat in small_lattices():
+        assert prime_filters(lat) == completely_prime_filters(lat)
 
 
 def test_join_irreducibles_and_meet_primes_on_diamond():
@@ -220,19 +253,22 @@ def test_join_irreducibles_and_meet_primes_on_diamond():
 
 def test_prime_filters_match_subset_scan():
     for lat in (lat3(), diamond(), birkhoff_lattice(FinitePoset.chain(3))):
-        oracle = {
-            (mask, cp) for mask, prime, cp in brute_filters(lat) if prime
-        }
-        got = {(f.members, f.completely_prime) for f in prime_filters(lat)}
-        assert got == oracle
-        cp_oracle = {mask for mask, prime, cp in brute_filters(lat) if cp}
+        scan = brute_filters(lat)
+        prime = {mask for mask, p, cp in scan if p}
+        assert {f.members for f in prime_filters(lat)} == prime
+        cp_oracle = {mask for mask, p, cp in scan if cp}
         assert {f.members for f in completely_prime_filters(lat)} == cp_oracle
+        for f in prime_filters(lat) + completely_prime_filters(lat):
+            assert f.members == lat.poset.up_mask(f.generator)
 
 
 def test_finitely_prime_equals_completely_prime():
     for lat in (lat3(), diamond()):
-        assert all(f.completely_prime for f in prime_filters(lat))
-        assert len(points(lat)) == len(prime_filters(lat))
+        scan = brute_filters(lat)
+        assert {mask for mask, p, cp in scan if p} == {
+            mask for mask, p, cp in scan if cp
+        }
+        assert points(lat) == prime_filters(lat) == completely_prime_filters(lat)
 
 
 def test_filters_are_principal_at_join_irreducibles():

@@ -10,10 +10,12 @@ from esakia.posets import (
     down_closure,
     enumerate_posets,
     find_isomorphism,
+    image_mask,
     inclusion_up_masks,
     is_downset,
     iter_bits,
     maximal_points,
+    preimage_mask,
     up_closure,
     upset_masks,
 )
@@ -250,3 +252,22 @@ def test_inclusion_up_masks_match_the_literal_order(family):
     up = inclusion_up_masks(family)
     for i, u in enumerate(family):
         assert up[i] == sum(1 << k for k, v in enumerate(family) if u & ~v == 0)
+
+
+@given(st.data())
+def test_image_and_preimage_match_the_literal_bit_loops(data):
+    n = data.draw(st.integers(0, 8))
+    m = data.draw(st.integers(1, 8))
+    mapping = data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    mask = data.draw(st.integers(0, (1 << n) - 1))
+    target = data.draw(st.integers(0, (1 << m) - 1))
+    image = 0
+    for i in range(n):
+        if mask >> i & 1:
+            image |= 1 << mapping[i]
+    pre = 0
+    for i in range(n):
+        if target >> mapping[i] & 1:
+            pre |= 1 << i
+    assert image_mask(mask, mapping) == image
+    assert preimage_mask(target, mapping) == pre

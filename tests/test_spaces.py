@@ -4,9 +4,9 @@ import json
 import pytest
 
 from esakia import spaces
-from esakia.duality import dual_space
+from esakia.duality import EsakiaSpaceFin, dual_space, phi_table
 from esakia.errors import SizeBoundError, SpaceError, SubsetError
-from esakia.lattices import is_scattered_frame
+from esakia.lattices import is_scattered_frame, points
 from esakia.nuclei import (
     Nucleus,
     enumerate_nuclei_oracle,
@@ -15,6 +15,7 @@ from esakia.nuclei import (
     to_nuclear_set,
     top_nucleus,
 )
+from esakia.posets import FinitePoset, inclusion_up_masks
 from esakia.spaces import (
     FiniteSpace,
     classify_point,
@@ -177,6 +178,40 @@ def test_sober_points_of_sierpinski():
     sob = soberification(sierpinski())
     assert sob.space.points == ("y{1}", "y{0,1}")
     assert sob.eps == (1, 0)
+
+
+def test_soberification_matches_the_literal_loops():
+    for n in range(4):
+        for s in enumerate_topologies(n):
+            sob = soberification(s)
+            frame = open_frame(s)
+            dual = dual_space(frame)
+            nbhd = [
+                sum(1 << a for a, u in enumerate(s.opens) if u >> x & 1)
+                for x in range(s.n)
+            ]
+            assert sob.eps == tuple(dual.filters.index(fm) for fm in nbhd)
+            pts = points(frame)
+            traces = tuple(
+                sum(1 << k for k, f in enumerate(pts) if f.members >> a & 1)
+                for a in range(frame.n)
+            )
+            assert phi_table(dual) == traces
+            assert sob.space.opens == tuple(sorted(set(traces)))
+
+
+def test_eps_names_a_neighbourhood_filter_missing_from_the_dual(monkeypatch):
+    s = sierpinski()
+    full = dual_space(open_frame(s))
+    filters = full.filters[1:]
+    short = EsakiaSpaceFin(
+        FinitePoset.from_up_masks(full.poset.elements[1:], inclusion_up_masks(filters)),
+        filters=filters,
+        source=full.source,
+    )
+    monkeypatch.setattr(spaces, "dual_space", lambda frame: short)
+    with pytest.raises(SpaceError, match="neighbourhood filter of a point is not prime"):
+        spaces._eps_to_dual(s)
 
 
 def test_front_topology_of_sierpinski_is_discrete():

@@ -1,15 +1,16 @@
 import pytest
 from hypothesis import given, settings
 
-from esakia import spatial
+from esakia import lattices
 from esakia.duality import dual_space, phi, phi_inverse
-from esakia.errors import NucleusError, SubsetError
+from esakia.errors import LatticeError, SubsetError
 from esakia.lattices import (
     birkhoff_lattice,
     essential_primes,
     lattice_from_json_dict,
     meet_primes,
     min_primes,
+    points,
 )
 from esakia.nuclei import make_u, to_nuclear_set
 from esakia.posets import FinitePoset, enumerate_posets, iter_bits
@@ -67,12 +68,14 @@ def test_every_finite_dual_point_is_nuclear():
             assert nuclear_points(lat).mask == dual_space(lat).poset.full_mask
 
 
-def test_nuclear_points_catches_a_missing_completely_prime_filter(monkeypatch):
-    lat = lat3()
-    pts = spatial.points(lat)
-    monkeypatch.setattr(spatial, "points", lambda _: pts[1:])
-    with pytest.raises(NucleusError, match="nuclear singletons disagree"):
-        nuclear_points(lat)
+def test_a_missing_completely_prime_filter_is_caught_where_points_are_made(monkeypatch):
+    complete = lattices.completely_prime_filters
+    monkeypatch.setattr(
+        lattices, "completely_prime_filters", lambda lat: complete(lat)[1:]
+    )
+    for build in (points, dual_space, nuclear_points):
+        with pytest.raises(LatticeError, match="prime and completely prime filters disagree"):
+            build(lat3())
 
 
 def test_gamma_sends_singletons_to_singletons():
