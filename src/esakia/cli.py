@@ -276,6 +276,12 @@ def _cmd_check(args) -> int:
     return EXIT_OK if out["ok"] else 1
 
 
+def _size(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"{text} is not a non-negative integer")
+    return int(text)
+
+
 def _cmd_sweep(args) -> int:
     if args.kind == "posets":
         summary = run_poset_suite(args.n, args.suite)
@@ -361,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a suite over every instance of a size")
     p.add_argument("kind", choices=("posets", "topologies"))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size, required=True)
     p.add_argument("--suite", required=True)
     p.set_defaults(func=_cmd_sweep)
 

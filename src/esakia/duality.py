@@ -51,10 +51,6 @@ class EsakiaSpaceFin:
     def n(self) -> int:
         return self.poset.n
 
-    def clopen_masks(self) -> range:
-        """Every subset is clopen in the discrete topology."""
-        return range(1 << self.poset.n)
-
     def __repr__(self) -> str:
         return f"EsakiaSpaceFin({self.poset.n} points, discrete)"
 

@@ -29,9 +29,7 @@ from .posets import (
     down_closure,
     find_isomorphism,
     inclusion_up_masks,
-    is_downset,
     iter_bits,
-    maximal_points,
     set_label,
 )
 
@@ -392,7 +390,6 @@ def w_decomposition_check(lattice: FiniteLattice, j: Nucleus) -> bool:
 class AssemblyBooleanReport:
     direct_boolean: bool
     nuclear_equals_regular_closed: bool
-    max_of_clopen_downsets_clopen: bool
     scattered_frame: bool
 
     @property
@@ -400,7 +397,6 @@ class AssemblyBooleanReport:
         vals = {
             self.direct_boolean,
             self.nuclear_equals_regular_closed,
-            self.max_of_clopen_downsets_clopen,
             self.scattered_frame,
         }
         return len(vals) == 1
@@ -418,7 +414,7 @@ def _discrete_space(space: EsakiaSpaceFin):
 
 
 def is_assembly_boolean(lattice: FiniteLattice) -> AssemblyBooleanReport:
-    """Four routes to booleanness of the assembly, kept separate."""
+    """Three routes to booleanness of the assembly, kept separate."""
     from .spaces import regular_closed
 
     asm = assembly_frame(lattice)
@@ -428,18 +424,8 @@ def is_assembly_boolean(lattice: FiniteLattice) -> AssemblyBooleanReport:
     rc = set(regular_closed(disc))
     nuclear = set(asm.sets)
     rc_equal = nuclear == rc
-
-    full = asm.dual.poset.full_mask
-    clopen = set(asm.dual.clopen_masks())
-    max_ok = True
-    for d in range(full + 1):
-        if d not in clopen or not is_downset(asm.dual.poset, d):
-            continue
-        if maximal_points(asm.dual.poset, d) not in clopen:
-            max_ok = False
-            break
     scattered = is_scattered_frame(lattice)
-    return AssemblyBooleanReport(direct, rc_equal, max_ok, scattered)
+    return AssemblyBooleanReport(direct, rc_equal, scattered)
 
 
 @dataclass(frozen=True)

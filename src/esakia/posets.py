@@ -35,7 +35,6 @@ __all__ = [
     "up_closure",
     "down_closure",
     "maximal_points",
-    "is_downset",
     "image_mask",
     "preimage_mask",
     "upset_masks",
@@ -299,10 +298,6 @@ def maximal_points(poset: FinitePoset, mask: int) -> int:
         if poset._up[i] & mask == 1 << i:
             out |= 1 << i
     return out
-
-
-def is_downset(poset: FinitePoset, mask: int) -> bool:
-    return down_closure(poset, mask) == mask
 
 
 def image_mask(mask: int, mapping: Sequence[int]) -> int:

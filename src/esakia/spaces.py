@@ -36,6 +36,7 @@ from .nuclei import (
 from .posets import (
     FinitePoset,
     _close,
+    _down_masks,
     _relation_isomorphism,
     image_mask,
     inclusion_up_masks,
@@ -216,7 +217,8 @@ class FiniteSpace:
 
     @classmethod
     def from_preorder(cls, points_seq, pairs) -> "FiniteSpace":
-        """The space whose opens are the up-closed sets of a preorder."""
+        """The space whose opens are the up-closed sets of a preorder,
+        grown one point at a time as ``enumerate_topologies`` grows them."""
         pts = [str(p) for p in points_seq]
         index = {p: i for i, p in enumerate(pts)}
         n = len(pts)
@@ -226,11 +228,11 @@ class FiniteSpace:
         for a, b in pairs:
             up[index[str(a)]] |= 1 << index[str(b)]
         _close(up)
-        opens = [
-            m
-            for m in range(1 << n)
-            if all(up[i] & ~m == 0 for i in iter_bits(m))
-        ]
+        down = _down_masks(up)
+        opens = [0]
+        for k in range(n):
+            old = (1 << k) - 1
+            opens = _opens_with_point(opens, k, down[k] & old, up[k] & old)
         return cls(pts, opens)
 
     @classmethod
@@ -756,27 +758,58 @@ def regular_closed(space: FiniteSpace) -> tuple[int, ...]:
     )
 
 
+def _opens_with_point(opens, k: int, below: int, above: int) -> list[int]:
+    """The opens of a preorder on points 0..k-1 extended by a point k.
+
+    below and above are the old points x <= k and k <= x, a downset and an
+    upset of the old preorder with every member of below under every member
+    of above (points in both become equivalent to k).  A new open either
+    misses k, and then misses every point below it, or holds k and every
+    point above it.
+    """
+    bit = 1 << k
+    return [v for v in opens if not v & below] + [
+        v | bit for v in opens if not above & ~v
+    ]
+
+
 def enumerate_topologies(n: int) -> list[FiniteSpace]:
-    """All labeled topologies on points 0..n-1, by scanning set families."""
+    """All labeled topologies on points 0..n-1, in ascending order of the
+    family mask (the sum of 2^m over the opens m).
+
+    A finite topology is the family of upsets of its specialization
+    preorder, so the topologies on n points are the labeled preorders
+    (OEIS A000798).  They are grown one point at a time: each preorder on
+    points 0..k-1 takes the new point k below each of its upsets U and
+    above each of its downsets D with D under U, and the new opens come
+    from the old ones through ``_opens_with_point``.  Each preorder tries
+    the pairs of its own opens, so the work follows the output, not the
+    2^(2^n) set families.
+    """
     cap = topology_bound()
     if n > cap:
         raise SizeBoundError(f"topology enumeration refused for {n} points (bound {cap})")
+    level = [[0]]
+    for k in range(n):
+        full = (1 << k) - 1
+        grown = []
+        for opens in level:
+            # minimal[x]: the smallest open holding x, the points above x
+            minimal = [full] * k
+            for v in opens:
+                for x in iter_bits(v):
+                    minimal[x] &= v
+            for v in opens:
+                below = full & ~v
+                common = full
+                for x in iter_bits(below):
+                    common &= minimal[x]
+                grown.extend(
+                    _opens_with_point(opens, k, below, above)
+                    for above in opens
+                    if not above & ~common
+                )
+        level = grown
+    level.sort(key=lambda opens: sum(1 << m for m in opens))
     pts = [str(i) for i in range(n)]
-    subsets = 1 << n
-    full = subsets - 1
-    out = []
-    for fam in range(1 << subsets):
-        if not fam & 1 or not fam >> full & 1:
-            continue
-        members = [m for m in range(subsets) if fam >> m & 1]
-        ok = True
-        for i, u in enumerate(members):
-            for v in members[i + 1 :]:
-                if not fam >> (u | v) & 1 or not fam >> (u & v) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(FiniteSpace(pts, members))
-    return out
+    return [FiniteSpace(pts, opens) for opens in level]

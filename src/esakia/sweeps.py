@@ -159,7 +159,9 @@ def run_topology_suite(n: int, suite: str) -> SweepSummary:
         ) from None
     instances = passes = 0
     first = None
-    for space in enumerate_topologies(n):
+    spaces = enumerate_topologies(n)
+    for i, space in enumerate(spaces):
+        spaces[i] = None  # let each space and its caches go once it is checked
         instances += 1
         if check(space):
             passes += 1

@@ -101,6 +101,29 @@ def test_exit_code_size_bound(capsys):
     assert cli.main(["sweep", "posets", "--n", "40", "--suite", "duality"]) == 5
 
 
+def test_topology_sweep_passes_at_five_points(capsys):
+    code, out = run(capsys, "sweep", "topologies", "--n", "5", "--suite", "scatter")
+    assert code == 0
+    data = json.loads(out)
+    assert data["instances"] == data["passes"] == 6942 and data["ok"]
+
+
+def test_topology_bound_variable_still_refuses(capsys, monkeypatch):
+    monkeypatch.setenv("ESAKIA_TOPOLOGY_BOUND", "4")
+    assert cli.main(["sweep", "topologies", "--n", "5", "--suite", "scatter"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: topology enumeration refused for 5 points (bound 4)\n"
+
+
+@pytest.mark.parametrize("kind", ["posets", "topologies"])
+def test_negative_sweep_size_is_a_usage_error(capsys, kind):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", kind, "--n", "-1", "--suite", "scatter"])
+    assert exc.value.code == 2
+    assert "--n: -1 is not a non-negative integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("suite", ["assembly", "wdecomp"])
 def test_nucleus_oracle_sweeps_pass_at_five_points(capsys, suite):
     code, out = run(capsys, "sweep", "posets", "--n", "5", "--suite", suite)

@@ -12,7 +12,6 @@ from esakia.posets import (
     find_isomorphism,
     image_mask,
     inclusion_up_masks,
-    is_downset,
     iter_bits,
     maximal_points,
     preimage_mask,
@@ -36,6 +35,11 @@ def minimal_points(poset, mask):
 def is_upset(poset, mask):
     """The literal oracle: mask equals its own up-closure."""
     return up_closure(poset, mask) == mask
+
+
+def is_downset(poset, mask):
+    """The literal oracle: mask equals its own down-closure."""
+    return down_closure(poset, mask) == mask
 
 # isomorphism classes of posets on 1..5 points
 POSET_COUNTS = [1, 2, 5, 16, 63]

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from esakia import spaces
+from esakia import spaces, sweeps
 from esakia.duality import EsakiaSpaceFin, dual_space, phi_table
 from esakia.errors import SizeBoundError, SpaceError, SubsetError
 from esakia.lattices import is_scattered_frame, points
@@ -15,7 +15,7 @@ from esakia.nuclei import (
     to_nuclear_set,
     top_nucleus,
 )
-from esakia.posets import FinitePoset, inclusion_up_masks
+from esakia.posets import FinitePoset, inclusion_up_masks, iter_bits
 from esakia.spaces import (
     FiniteSpace,
     classify_point,
@@ -144,6 +144,8 @@ def test_from_preorder_round_trips_the_specialization():
         ],
     )
     assert again == s
+    with pytest.raises(SizeBoundError, match="capped at 16 points"):
+        FiniteSpace.from_preorder([str(i) for i in range(17)], [])
 
 
 def test_open_frame_of_sierpinski_is_three_chain():
@@ -359,14 +361,54 @@ def test_compactification_check_small():
         assert rep.homeomorphism_onto_image and rep.image_front_dense
 
 
+def scan_topologies(n):
+    """The literal oracle: every family of subsets of n points that holds
+    the empty set and the whole space and is closed under union and
+    intersection, in ascending family mask (2^(2^n) families)."""
+    pts = [str(i) for i in range(n)]
+    subsets = 1 << n
+    full = subsets - 1
+    out = []
+    for fam in range(1 << subsets):
+        if not fam & 1 or not fam >> full & 1:
+            continue
+        members = [m for m in range(subsets) if fam >> m & 1]
+        if all(
+            fam >> (u | v) & 1 and fam >> (u & v) & 1
+            for i, u in enumerate(members)
+            for v in members[i + 1 :]
+        ):
+            out.append(FiniteSpace(pts, members))
+    return out
+
+
+def scan_preorder_opens(up):
+    """The literal oracle: every mask that holds the up-mask of each member."""
+    return [
+        m
+        for m in range(1 << len(up))
+        if all(up[i] & ~m == 0 for i in iter_bits(m))
+    ]
+
+
 def test_enumeration_counts():
-    assert [len(enumerate_topologies(n)) for n in (1, 2, 3)] == [1, 4, 29]
+    # labeled topologies on n points, OEIS A000798
+    assert [len(enumerate_topologies(n)) for n in range(6)] == [
+        1, 1, 4, 29, 355, 6942
+    ]
+
+
+def test_enumeration_matches_the_scan():
+    for n in range(5):
+        assert enumerate_topologies(n) == scan_topologies(n)
 
 
 def test_enumeration_matches_preorder_count():
-    # finite duality: labeled topologies biject with labeled preorders
+    # finite duality: labeled topologies biject with labeled preorders, and
+    # from_preorder gives the upsets of each one
     n = 3
     count = 0
+    found = set()
     for bits in range(1 << (n * n)):
         rel = [[bool(bits >> (i * n + j) & 1) for j in range(n)] for i in range(n)]
         if not all(rel[i][i] for i in range(n)):
@@ -376,8 +418,32 @@ def test_enumeration_matches_preorder_count():
             for i, j, k in itertools.product(range(n), repeat=3)
         ):
             continue
+        pairs = [(str(i), str(j)) for i in range(n) for j in range(n) if rel[i][j]]
+        s = FiniteSpace.from_preorder([str(i) for i in range(n)], pairs)
+        up = [sum(1 << j for j in range(n) if rel[i][j]) for i in range(n)]
+        assert list(s.opens) == scan_preorder_opens(up)
+        assert s.specialization() == tuple(up)
         count += 1
-    assert count == len(enumerate_topologies(n))
+        found.add(s)
+    made = enumerate_topologies(n)
+    assert count == len(found) == len(made) and found == set(made)
+
+
+def test_topology_sweep_lets_each_space_go_before_checking_it(monkeypatch):
+    # a checked space keeps its caches (open frame, dual, assembly), so a
+    # sweep that held every space would grow with all of them
+    made = enumerate_topologies(3)
+    monkeypatch.setattr(spaces, "enumerate_topologies", lambda n: made)
+    still_held = []
+
+    def check(space):
+        still_held.append(any(s is space for s in made))
+        return True
+
+    monkeypatch.setitem(sweeps.TOPOLOGY_SUITES, "scatter", check)
+    summary = sweeps.run_topology_suite(3, "scatter")
+    assert summary.instances == summary.passes == 29
+    assert still_held == [False] * 29
 
 
 def test_enumeration_bound():
