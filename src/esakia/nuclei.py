@@ -389,17 +389,11 @@ def w_decomposition_check(lattice: FiniteLattice, j: Nucleus) -> bool:
 @dataclass(frozen=True)
 class AssemblyBooleanReport:
     direct_boolean: bool
-    nuclear_equals_regular_closed: bool
     scattered_frame: bool
 
     @property
     def agree(self) -> bool:
-        vals = {
-            self.direct_boolean,
-            self.nuclear_equals_regular_closed,
-            self.scattered_frame,
-        }
-        return len(vals) == 1
+        return self.direct_boolean == self.scattered_frame
 
     @property
     def ok(self) -> bool:
@@ -414,18 +408,10 @@ def _discrete_space(space: EsakiaSpaceFin):
 
 
 def is_assembly_boolean(lattice: FiniteLattice) -> AssemblyBooleanReport:
-    """Three routes to booleanness of the assembly, kept separate."""
-    from .spaces import regular_closed
-
+    """Booleanness of the assembly, decided directly, against scatteredness
+    of the frame."""
     asm = assembly_frame(lattice)
-    direct = is_boolean(asm.lattice)
-
-    disc = _discrete_space(asm.dual)
-    rc = set(regular_closed(disc))
-    nuclear = set(asm.sets)
-    rc_equal = nuclear == rc
-    scattered = is_scattered_frame(lattice)
-    return AssemblyBooleanReport(direct, rc_equal, scattered)
+    return AssemblyBooleanReport(is_boolean(asm.lattice), is_scattered_frame(lattice))
 
 
 @dataclass(frozen=True)

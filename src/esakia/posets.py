@@ -521,6 +521,8 @@ def _poset_reps(n: int) -> tuple[tuple[int, ...], ...]:
 
 def enumerate_posets(n: int) -> list[FinitePoset]:
     """All posets on n elements up to isomorphism, deterministically ordered."""
+    if n < 0:
+        raise ValueError(f"{n} is not a non-negative integer")
     cap = poset_bound()
     if n > cap:
         raise SizeBoundError(f"enumerate_posets({n}) exceeds bound {cap}")

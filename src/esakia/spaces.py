@@ -691,11 +691,73 @@ class SimmonsIsbellReport:
         )
 
 
+def _single_covers(strict: list[int]) -> list[int]:
+    """Indices i whose strict set strict[i] (a bitmask of indices) holds
+    exactly one cover: one member that lies in no other member's set."""
+    out = []
+    for i, m in enumerate(strict):
+        inner = 0
+        for k in iter_bits(m):
+            inner |= strict[k]
+        covers = m & ~inner
+        if covers and not covers & (covers - 1):
+            out.append(i)
+    return out
+
+
+def _irreducible_nuclei(nucs: list[Nucleus]) -> tuple[list[int], list[int]]:
+    """Indices of the join- and of the meet-irreducibles of N(L) in a list
+    of all nuclei, read off the list alone.
+
+    j <= k pointwise iff Fix(k) is a subset of Fix(j), so the order is a
+    subset test on fixpoint bitmasks.  A join-irreducible has exactly one
+    lower cover and a meet-irreducible exactly one upper cover.
+    """
+    fix = [
+        sum(1 << a for a, v in enumerate(j.values) if v == a) for j in nucs
+    ]
+    below = [0] * len(fix)
+    above = [0] * len(fix)
+    for i, f in enumerate(fix):
+        for k in range(i + 1, len(fix)):
+            g = fix[k]
+            if not f & ~g:  # Fix(i) inside Fix(k): nucs[k] < nucs[i]
+                below[i] |= 1 << k
+                above[k] |= 1 << i
+            elif not g & ~f:
+                below[k] |= 1 << i
+                above[i] |= 1 << k
+    return _single_covers(below), _single_covers(above)
+
+
+def _prime_pairs(primes: list[int], count: int):
+    """Each unordered pair {a, p} of distinct indices below count with p
+    in primes, once."""
+    seen = 0
+    for p in primes:
+        seen |= 1 << p
+        for a in range(count):
+            if not seen >> a & 1:
+                yield a, p
+
+
 def simmons_isbell_report(space: FiniteSpace) -> SimmonsIsbellReport:
     """Each side of the Simmons and Isbell dichotomies, computed on its
     own and compared.  Nuclei come from the closure-system (NextClosure)
     oracle so that sigma's injectivity is decided on a list the assembly
-    did not produce."""
+    did not produce.
+
+    The homomorphism flags check pairs in which one argument is prime.
+    On a finite lattice a map f with f(0) = 0 preserves binary joins iff
+    f(a v p) = f(a) v f(p) for every a and every join-irreducible p:
+    write b as a join of join-irreducibles and absorb them one at a time
+    (B. A. Davey and H. A. Priestley, *Introduction to Lattices and
+    Order*, 2nd ed., 2002, ch. 5).  Dually for meets, f(1) = 1 and the
+    meet-irreducibles.  So sigma is checked against ``nuclei_join`` with
+    the join-irreducibles of N(L) and ``nuclei_meet`` with its
+    meet-irreducibles, both found on the oracle's list, and delta against
+    unions with singletons and intersections with co-singletons.
+    """
     frame = open_frame(space)
     dual = dual_space(frame)
     asm = assembly_frame(frame)
@@ -706,21 +768,23 @@ def simmons_isbell_report(space: FiniteSpace) -> SimmonsIsbellReport:
     sig_onto = set(sigmas) == set(front.opens)
     hom = sigma(space, identity_nucleus(frame)) == 0
     hom = hom and sigma(space, top_nucleus(frame)) == space.full_mask
-    for i, j in enumerate(nucs):
-        for k in range(i + 1, len(nucs)):
-            pair = [j, nucs[k]]
-            if sigma(space, nuclei_meet(frame, pair)) != sigmas[i] & sigmas[k]:
-                hom = False
-            if sigma(space, nuclei_join(frame, dual, pair)) != sigmas[i] | sigmas[k]:
-                hom = False
+    join_irr, meet_irr = _irreducible_nuclei(nucs)
+    for a, p in _prime_pairs(join_irr, len(nucs)):
+        if sigma(space, nuclei_join(frame, dual, [nucs[a], nucs[p]])) != sigmas[a] | sigmas[p]:
+            hom = False
+    for a, m in _prime_pairs(meet_irr, len(nucs)):
+        if sigma(space, nuclei_meet(frame, [nucs[a], nucs[m]])) != sigmas[a] & sigmas[m]:
+            hom = False
     deltas = {m: delta(space, m) for m in asm.sets}
     del_inj = len(set(deltas.values())) == len(asm.sets)
     front_closed = set(front.closed_masks())
     del_onto = set(deltas.values()) == front_closed
+    full = dual.poset.full_mask
     del_hom = all(
-        deltas[a | b] == (deltas[a] | deltas[b]) and deltas[a & b] == deltas[a] & deltas[b]
+        deltas[a | s] == deltas[a] | deltas[s]
+        and deltas[a & ~s] == deltas[a] & deltas[full & ~s]
+        for s in (1 << x for x in range(dual.n))
         for a in asm.sets
-        for b in asm.sets
     )
     hits = all(m == 0 or deltas[m] != 0 for m in asm.sets)
     identity = all(
@@ -786,6 +850,8 @@ def enumerate_topologies(n: int) -> list[FiniteSpace]:
     the pairs of its own opens, so the work follows the output, not the
     2^(2^n) set families.
     """
+    if n < 0:
+        raise ValueError(f"{n} is not a non-negative integer")
     cap = topology_bound()
     if n > cap:
         raise SizeBoundError(f"topology enumeration refused for {n} points (bound {cap})")

@@ -62,6 +62,11 @@ def test_enumeration_bound():
         enumerate_posets(99)
 
 
+def test_enumeration_refuses_a_negative_size():
+    with pytest.raises(ValueError, match="^-1 is not a non-negative integer$"):
+        enumerate_posets(-1)
+
+
 def test_chain_and_antichain():
     c = FinitePoset.chain(3)
     assert c.covers() == [("c0", "c1"), ("c1", "c2")]

@@ -9,9 +9,11 @@ from esakia.errors import SizeBoundError, SpaceError, SubsetError
 from esakia.lattices import is_scattered_frame, points
 from esakia.nuclei import (
     Nucleus,
+    assembly_frame,
     enumerate_nuclei_oracle,
     identity_nucleus,
     make_w,
+    nucleus_leq,
     to_nuclear_set,
     top_nucleus,
 )
@@ -331,6 +333,157 @@ def test_sigma_frame_hom_catches_a_wrong_join(monkeypatch):
     assert not rep.ok
 
 
+def pair_loop_sigma_hom(space):
+    """The literal oracle for sigma_frame_hom: sigma checked against
+    ``nuclei_meet`` and ``nuclei_join`` on every pair of oracle nuclei."""
+    frame = open_frame(space)
+    dual = dual_space(frame)
+    nucs = enumerate_nuclei_oracle(frame)
+    sigmas = [spaces.sigma(space, j) for j in nucs]
+    hom = spaces.sigma(space, identity_nucleus(frame)) == 0
+    hom = hom and spaces.sigma(space, top_nucleus(frame)) == space.full_mask
+    for i, j in enumerate(nucs):
+        for k in range(i + 1, len(nucs)):
+            pair = [j, nucs[k]]
+            if spaces.sigma(space, spaces.nuclei_meet(frame, pair)) != sigmas[i] & sigmas[k]:
+                hom = False
+            if spaces.sigma(space, spaces.nuclei_join(frame, dual, pair)) != sigmas[i] | sigmas[k]:
+                hom = False
+    return hom
+
+
+def pair_loop_delta_hom(space):
+    """The literal oracle for delta_coframe_hom: delta checked against
+    union and intersection on every pair of nuclear sets."""
+    asm = assembly_frame(open_frame(space))
+    deltas = {m: spaces.delta(space, m) for m in asm.sets}
+    return all(
+        deltas[a | b] == deltas[a] | deltas[b] and deltas[a & b] == deltas[a] & deltas[b]
+        for a in asm.sets
+        for b in asm.sets
+    )
+
+
+def literal_irreducibles(frame):
+    """Value tables of the join- and of the meet-irreducible nuclei of the
+    frame, in the pointwise order: p is join-irreducible iff the nuclei
+    strictly below it have a greatest member, dually for meets."""
+    nucs = enumerate_nuclei_oracle(frame)
+    leq = [[nucleus_leq(frame, j, k) for k in nucs] for j in nucs]
+
+    def irreducible(p, le):
+        strict = [q for q in range(len(nucs)) if q != p and le(q, p)]
+        return any(all(le(r, q) for r in strict) for q in strict)
+
+    joins = {j.values for p, j in enumerate(nucs) if irreducible(p, lambda a, b: leq[a][b])}
+    meets = {j.values for p, j in enumerate(nucs) if irreducible(p, lambda a, b: leq[b][a])}
+    return joins, meets
+
+
+def test_prime_finder_matches_the_literal_irreducibles():
+    for n in range(5):
+        for s in enumerate_topologies(n):
+            frame = open_frame(s)
+            nucs = enumerate_nuclei_oracle(frame)
+            joins, meets = spaces._irreducible_nuclei(nucs)
+            assert ({nucs[i].values for i in joins}, {nucs[i].values for i in meets}) == (
+                literal_irreducibles(frame)
+            )
+            # N(L) is Boolean with 2^k nuclei: k atoms and k coatoms
+            assert 1 << len(joins) == 1 << len(meets) == len(nucs)
+
+
+def mutate_join(monkeypatch):
+    """nuclei_join returns the identity nucleus when exactly one argument
+    is join-irreducible, and the true join otherwise."""
+    real = spaces.nuclei_join
+    memo = {}  # by frame id, holding the frame so the id is not reused
+
+    def mutant(frame, dual, js):
+        if id(frame) not in memo:
+            memo[id(frame)] = (frame, literal_irreducibles(frame)[0])
+        joins = memo[id(frame)][1]
+        if sum(j.values in joins for j in js) == 1:
+            return identity_nucleus(frame)
+        return real(frame, dual, js)
+
+    monkeypatch.setattr(spaces, "nuclei_join", mutant)
+
+
+def mutate_meet(monkeypatch):
+    """nuclei_meet returns the top nucleus when exactly one argument is
+    meet-irreducible, and the true meet otherwise."""
+    real = spaces.nuclei_meet
+    memo = {}  # by frame id, holding the frame so the id is not reused
+
+    def mutant(frame, js):
+        if id(frame) not in memo:
+            memo[id(frame)] = (frame, literal_irreducibles(frame)[1])
+        meets = memo[id(frame)][1]
+        if sum(j.values in meets for j in js) == 1:
+            return top_nucleus(frame)
+        return real(frame, js)
+
+    monkeypatch.setattr(spaces, "nuclei_meet", mutant)
+
+
+def mutate_delta(monkeypatch):
+    """delta of the two-point set {0, 1} returns delta of {0}."""
+    real = spaces.delta
+    monkeypatch.setattr(
+        spaces, "delta", lambda space, m: real(space, 0b01 if m == 0b11 else m)
+    )
+
+
+@pytest.mark.parametrize(
+    "mutate, flag, bites",
+    [
+        (None, None, None),
+        # a frame with two elements or more has a pair {a, p}, p prime
+        (mutate_join, "sigma_frame_hom", lambda s: open_frame(s).n >= 2),
+        (mutate_meet, "sigma_frame_hom", lambda s: open_frame(s).n >= 2),
+        (mutate_delta, "delta_coframe_hom", lambda s: dual_space(open_frame(s)).n >= 2),
+    ],
+    ids=["unmutated", "join", "meet", "delta"],
+)
+def test_hom_flags_match_the_pair_loops(monkeypatch, mutate, flag, bites):
+    # the prime-pair checks decide the same flags as every pair; under a
+    # mutant that is wrong at a prime, both turn red on every space it bites
+    if mutate is not None:
+        mutate(monkeypatch)
+    bitten = 0
+    for n in range(5):
+        for s in enumerate_topologies(n):
+            rep = simmons_isbell_report(s)
+            got = (rep.sigma_frame_hom, rep.delta_coframe_hom)
+            assert got == (pair_loop_sigma_hom(s), pair_loop_delta_hom(s))
+            if flag is None:
+                assert got == (True, True)
+            elif bites(s):
+                assert not getattr(rep, flag)
+                bitten += 1
+    # all 390 spaces but the 0-point one; for delta, all but the 5 indiscrete
+    assert bitten == {None: 0, "sigma_frame_hom": 389, "delta_coframe_hom": 385}[flag]
+
+
+def test_prime_pairs_never_outnumber_the_pairs(monkeypatch):
+    # the discrete space on k points has N(L) of 2^k nuclei with k primes
+    calls = []
+    join, meet = spaces.nuclei_join, spaces.nuclei_meet
+    monkeypatch.setattr(
+        spaces, "nuclei_join", lambda *a: calls.append("join") or join(*a)
+    )
+    monkeypatch.setattr(
+        spaces, "nuclei_meet", lambda *a: calls.append("meet") or meet(*a)
+    )
+    for k, want in enumerate([0, 1, 5, 18, 54, 145]):
+        s = FiniteSpace([str(i) for i in range(k)], range(1 << k))
+        calls.clear()
+        assert simmons_isbell_report(s).ok
+        assert calls.count("join") == calls.count("meet") == want
+        assert want <= (1 << k) * ((1 << k) - 1) // 2
+
+
 def test_sigma_is_injective_on_every_small_space():
     for s in enumerate_topologies(3):
         frame = open_frame(s)
@@ -449,6 +602,11 @@ def test_topology_sweep_lets_each_space_go_before_checking_it(monkeypatch):
 def test_enumeration_bound():
     with pytest.raises(SizeBoundError):
         enumerate_topologies(9)
+
+
+def test_enumeration_refuses_a_negative_size():
+    with pytest.raises(ValueError, match="^-1 is not a non-negative integer$"):
+        enumerate_topologies(-1)
 
 
 def test_open_frame_scattered_iff_assembly_boolean_side():
