@@ -137,21 +137,17 @@ class FiniteLattice:
             [poset.elements[a] for a in irr], [upset_of[a] for a in irr]
         )
 
-        masks = upset_masks(base)
-        of_mask = {m: None for m in masks}
-        ok = len(set(upset_of)) == n and len(masks) == n
-        if ok:
-            for a, m in enumerate(upset_of):
-                if m not in of_mask or of_mask[m] is not None:
-                    ok = False
-                    break
-                of_mask[m] = a
-        if ok:
-            ok = all(
-                [of_mask[u & v] for v in upset_of] == meet_t[i]
-                and [of_mask[u | v] for v in upset_of] == join_t[i]
-                for i, u in enumerate(upset_of)
-            )
+        # Birkhoff: L is distributive iff a -> upset_of[a] is injective and
+        # sends meets to & and joins to |, since a lattice embedded in a
+        # powerset is distributive.  Such a map is onto the upsets of base,
+        # each a join of principal ones upset_of[x] with x in irr, so
+        # of_mask holds every upset without listing them.
+        of_mask = {m: a for a, m in enumerate(upset_of)}
+        ok = len(of_mask) == n and all(
+            [of_mask.get(u & v) for v in upset_of] == meet_t[i]
+            and [of_mask.get(u | v) for v in upset_of] == join_t[i]
+            for i, u in enumerate(upset_of)
+        )
         if not ok:
             witness = _distributivity_witness(poset.elements, meet_t, join_t)
             assert witness is not None, "non-distributive lattice without witness triple"

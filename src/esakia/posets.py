@@ -16,6 +16,11 @@ Conventions used by the whole package:
   tests: the pair constructor takes the reflexive transitive closure of
   any generating relation (cover pairs or more) and hands the masks to
   the same checks.
+* An order is extended by one point in one place: ``_opens_with_point``
+  grows the upsets, ``_upsets`` lists those of a preorder point by point,
+  and ``_extensions`` yields every way to place a new point.  Posets,
+  topologies (``spaces.enumerate_topologies``), ``upset_masks`` and
+  ``FiniteSpace.from_preorder`` all grow through them.
 """
 
 from __future__ import annotations
@@ -322,14 +327,62 @@ def upset_masks(poset: FinitePoset) -> tuple[int, ...]:
     n = poset.n
     if n > 20:
         raise SizeBoundError(f"refusing to enumerate upsets of a {n}-element poset")
-    out = []
-    for mask in range(1 << n):
-        for i in iter_bits(mask):
-            if poset._up[i] & ~mask:
-                break
-        else:
-            out.append(mask)
-    return tuple(out)
+    return tuple(_upsets(poset._up))
+
+
+# -- extending an order by one point --------------------------------------
+
+
+def _opens_with_point(opens: Sequence[int], k: int, below: int, above: int) -> list[int]:
+    """The upsets of a preorder on points 0..k-1 extended by a point k.
+
+    below and above are the old points x <= k and k <= x, a downset and an
+    upset of the old preorder with every member of below under every member
+    of above (points in both become equivalent to k).  A new upset either
+    misses k, and then misses every point below it, or holds k and every
+    point above it.  Ascending input gives ascending output.
+    """
+    bit = 1 << k
+    return [v for v in opens if not v & below] + [
+        v | bit for v in opens if not above & ~v
+    ]
+
+
+def _upsets(up: Sequence[int]) -> list[int]:
+    """All upsets of a preorder given by its up-masks, ascending by mask,
+    grown point by point so the work follows the output."""
+    down = _down_masks(up)
+    opens = [0]
+    for k in range(len(up)):
+        old = (1 << k) - 1
+        opens = _opens_with_point(opens, k, down[k] & old, up[k] & old)
+    return opens
+
+
+def _extensions(opens: Sequence[int], k: int, antisymmetric: bool) -> Iterator[tuple[int, int]]:
+    """Every (below, above) pair that places a new point k on the preorder
+    on points 0..k-1 whose upsets are opens.
+
+    below is the complement of an upset (a downset), above an upset under
+    every point of below, which is exactly what keeps the extension
+    transitive; with antisymmetric set the two are disjoint, so k is
+    equivalent to no old point.
+    """
+    full = (1 << k) - 1
+    # minimal[x]: the smallest upset holding x, the points above x
+    minimal = [full] * k
+    for v in opens:
+        for x in iter_bits(v):
+            minimal[x] &= v
+    for v in opens:
+        below = full & ~v
+        # above misses below, so lies in v, when antisymmetric is set
+        common = v if antisymmetric else full
+        for x in iter_bits(below):
+            common &= minimal[x]
+        for above in opens:
+            if not above & ~common:
+                yield below, above
 
 
 # -- isomorphism ----------------------------------------------------------
@@ -479,43 +532,19 @@ def _poset_reps(n: int) -> tuple[tuple[int, ...], ...]:
     """Canonical up-mask tuples, one per isomorphism class of n-posets.
 
     Grows representatives one element at a time: a new top-labeled element
-    z is glued onto each smaller representative by choosing its strict
-    down-set D (a downset) and strict up-set U (an upset) with every member
-    of D below every member of U, which is exactly the condition for the
-    extension to stay transitive.
+    k is glued onto each smaller representative at every antisymmetric
+    ``_extensions`` pair, and the result is kept in ``_canonical`` form.
     """
     if n == 0:
         return ((),)
     k = n - 1
+    bit = 1 << k
     seen: set[tuple[int, ...]] = set()
     for up in _poset_reps(k):
-        down = _down_masks(up)
-        downsets = []
-        upsets = []
-        for mask in range(1 << k):
-            good_down = True
-            good_up = True
-            for i in iter_bits(mask):
-                if down[i] & ~mask:
-                    good_down = False
-                if up[i] & ~mask:
-                    good_up = False
-                if not (good_down or good_up):
-                    break
-            if good_down:
-                downsets.append(mask)
-            if good_up:
-                upsets.append(mask)
-        for d_mask in downsets:
-            common = (1 << k) - 1
-            for x in iter_bits(d_mask):
-                common &= up[x] & ~(1 << x)
-            for u_mask in upsets:
-                if u_mask & d_mask or u_mask & ~common:
-                    continue
-                new_up = [up[i] | (1 << k if d_mask >> i & 1 else 0) for i in range(k)]
-                new_up.append(1 << k | u_mask)
-                seen.add(_canonical(tuple(new_up)))
+        for below, above in _extensions(_upsets(up), k, antisymmetric=True):
+            new_up = [m | bit if below >> i & 1 else m for i, m in enumerate(up)]
+            new_up.append(bit | above)
+            seen.add(_canonical(tuple(new_up)))
     return tuple(sorted(seen))
 
 

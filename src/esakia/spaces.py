@@ -36,8 +36,10 @@ from .nuclei import (
 from .posets import (
     FinitePoset,
     _close,
-    _down_masks,
+    _extensions,
+    _opens_with_point,
     _relation_isomorphism,
+    _upsets,
     image_mask,
     inclusion_up_masks,
     iter_bits,
@@ -188,13 +190,8 @@ class FiniteSpace:
         return bool(self.specialization()[x] >> y & 1)
 
     def is_t0(self) -> bool:
-        up = self.specialization()
-        return all(
-            not (up[x] >> y & 1 and up[y] >> x & 1)
-            for x in range(self.n)
-            for y in range(self.n)
-            if x != y
-        )
+        # antisymmetric specialization: no two points share an up-mask
+        return len(set(self.specialization())) == self.n
 
     def _closure_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Per point x: the closure of {x}, and the class of points that
@@ -218,7 +215,7 @@ class FiniteSpace:
     @classmethod
     def from_preorder(cls, points_seq, pairs) -> "FiniteSpace":
         """The space whose opens are the up-closed sets of a preorder,
-        grown one point at a time as ``enumerate_topologies`` grows them."""
+        grown one point at a time by ``posets._upsets``."""
         pts = [str(p) for p in points_seq]
         index = {p: i for i, p in enumerate(pts)}
         n = len(pts)
@@ -226,14 +223,12 @@ class FiniteSpace:
             raise SizeBoundError("preorder space construction is capped at 16 points")
         up = [1 << i for i in range(n)]
         for a, b in pairs:
-            up[index[str(a)]] |= 1 << index[str(b)]
+            a, b = str(a), str(b)
+            if a not in index or b not in index:
+                raise SpaceError(f"relation mentions unknown point {a!r} or {b!r}")
+            up[index[a]] |= 1 << index[b]
         _close(up)
-        down = _down_masks(up)
-        opens = [0]
-        for k in range(n):
-            old = (1 << k) - 1
-            opens = _opens_with_point(opens, k, down[k] & old, up[k] & old)
-        return cls(pts, opens)
+        return cls(pts, _upsets(up))
 
     @classmethod
     def from_json_dict(cls, data: object) -> "FiniteSpace":
@@ -822,33 +817,17 @@ def regular_closed(space: FiniteSpace) -> tuple[int, ...]:
     )
 
 
-def _opens_with_point(opens, k: int, below: int, above: int) -> list[int]:
-    """The opens of a preorder on points 0..k-1 extended by a point k.
-
-    below and above are the old points x <= k and k <= x, a downset and an
-    upset of the old preorder with every member of below under every member
-    of above (points in both become equivalent to k).  A new open either
-    misses k, and then misses every point below it, or holds k and every
-    point above it.
-    """
-    bit = 1 << k
-    return [v for v in opens if not v & below] + [
-        v | bit for v in opens if not above & ~v
-    ]
-
-
 def enumerate_topologies(n: int) -> list[FiniteSpace]:
     """All labeled topologies on points 0..n-1, in ascending order of the
     family mask (the sum of 2^m over the opens m).
 
     A finite topology is the family of upsets of its specialization
     preorder, so the topologies on n points are the labeled preorders
-    (OEIS A000798).  They are grown one point at a time: each preorder on
-    points 0..k-1 takes the new point k below each of its upsets U and
-    above each of its downsets D with D under U, and the new opens come
-    from the old ones through ``_opens_with_point``.  Each preorder tries
-    the pairs of its own opens, so the work follows the output, not the
-    2^(2^n) set families.
+    (OEIS A000798).  They are grown one point at a time, as posets are: each
+    preorder on points 0..k-1 takes the new point k at every pair that
+    ``posets._extensions`` reads off its opens, and the new opens come from
+    the old ones through ``posets._opens_with_point``.  So the work follows
+    the output, not the 2^(2^n) set families.
     """
     if n < 0:
         raise ValueError(f"{n} is not a non-negative integer")
@@ -857,25 +836,11 @@ def enumerate_topologies(n: int) -> list[FiniteSpace]:
         raise SizeBoundError(f"topology enumeration refused for {n} points (bound {cap})")
     level = [[0]]
     for k in range(n):
-        full = (1 << k) - 1
-        grown = []
-        for opens in level:
-            # minimal[x]: the smallest open holding x, the points above x
-            minimal = [full] * k
-            for v in opens:
-                for x in iter_bits(v):
-                    minimal[x] &= v
-            for v in opens:
-                below = full & ~v
-                common = full
-                for x in iter_bits(below):
-                    common &= minimal[x]
-                grown.extend(
-                    _opens_with_point(opens, k, below, above)
-                    for above in opens
-                    if not above & ~common
-                )
-        level = grown
+        level = [
+            _opens_with_point(opens, k, below, above)
+            for opens in level
+            for below, above in _extensions(opens, k, antisymmetric=False)
+        ]
     level.sort(key=lambda opens: sum(1 << m for m in opens))
     pts = [str(i) for i in range(n)]
     return [FiniteSpace(pts, opens) for opens in level]

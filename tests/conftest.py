@@ -2,7 +2,7 @@ import random
 
 from hypothesis import strategies as st
 
-from esakia.posets import FinitePoset
+from esakia.posets import FinitePoset, iter_bits
 
 _LETTERS = "abcdefgh"
 
@@ -33,3 +33,12 @@ def random_poset(rng: random.Random, n: int) -> FinitePoset:
         if rng.random() < 0.4
     ]
     return FinitePoset(labels, pairs)
+
+
+def scan_preorder_opens(up):
+    """The literal oracle: every mask that holds the up-mask of each member."""
+    return [
+        m
+        for m in range(1 << len(up))
+        if all(up[i] & ~m == 0 for i in iter_bits(m))
+    ]

@@ -6,7 +6,10 @@ from hypothesis import given, strategies as st
 from esakia.errors import PosetError, SizeBoundError
 from esakia.posets import (
     FinitePoset,
+    _canonical,
+    _extensions,
     _poset_reps,
+    _upsets,
     down_closure,
     enumerate_posets,
     find_isomorphism,
@@ -19,7 +22,7 @@ from esakia.posets import (
     upset_masks,
 )
 
-from conftest import posets
+from conftest import posets, scan_preorder_opens
 
 
 def minimal_points(poset, mask):
@@ -41,8 +44,8 @@ def is_downset(poset, mask):
     """The literal oracle: mask equals its own down-closure."""
     return down_closure(poset, mask) == mask
 
-# isomorphism classes of posets on 1..5 points
-POSET_COUNTS = [1, 2, 5, 16, 63]
+# isomorphism classes of posets on 1..6 points, OEIS A000112
+POSET_COUNTS = [1, 2, 5, 16, 63, 318]
 
 
 def test_enumeration_counts():
@@ -120,9 +123,29 @@ def test_find_isomorphism_relabels():
     assert find_isomorphism(p, FinitePoset.chain(3)) is None
 
 
-def test_upset_masks_of_chain():
-    masks = upset_masks(FinitePoset.chain(2))
-    assert sorted(masks) == [0b00, 0b10, 0b11]
+def test_upset_masks_match_the_scan():
+    assert upset_masks(FinitePoset.chain(2)) == (0b00, 0b10, 0b11)
+    for n in range(7):
+        labels = [f"p{i}" for i in range(n)]
+        for up in _poset_reps(n):
+            p = FinitePoset.from_up_masks(labels, up)
+            assert upset_masks(p) == tuple(scan_preorder_opens(p._up))
+
+
+def test_preorder_growth_counts_the_preorder_classes():
+    # the same grower without antisymmetry gives the preorders up to
+    # isomorphism, OEIS A001930
+    level = {()}
+    counts = [1]
+    for k in range(5):
+        grown = set()
+        for up in level:
+            for below, above in _extensions(_upsets(up), k, antisymmetric=False):
+                new_up = [m | 1 << k if below >> i & 1 else m for i, m in enumerate(up)]
+                grown.add(_canonical((*new_up, 1 << k | above)))
+        level = grown
+        counts.append(len(level))
+    assert counts == [1, 1, 3, 9, 33, 139]
 
 
 @given(posets())

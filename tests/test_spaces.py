@@ -41,6 +41,8 @@ from esakia.spaces import (
     t0_reflection,
 )
 
+from conftest import scan_preorder_opens
+
 
 def sierpinski() -> FiniteSpace:
     return FiniteSpace.from_json_dict(
@@ -148,6 +150,12 @@ def test_from_preorder_round_trips_the_specialization():
     assert again == s
     with pytest.raises(SizeBoundError, match="capped at 16 points"):
         FiniteSpace.from_preorder([str(i) for i in range(17)], [])
+
+
+def test_from_preorder_names_an_unknown_point():
+    with pytest.raises(SpaceError) as exc:
+        FiniteSpace.from_preorder(["a", "b"], [("a", "z")])
+    assert str(exc.value) == "relation mentions unknown point 'a' or 'z'"
 
 
 def test_open_frame_of_sierpinski_is_three_chain():
@@ -533,15 +541,6 @@ def scan_topologies(n):
         ):
             out.append(FiniteSpace(pts, members))
     return out
-
-
-def scan_preorder_opens(up):
-    """The literal oracle: every mask that holds the up-mask of each member."""
-    return [
-        m
-        for m in range(1 << len(up))
-        if all(up[i] & ~m == 0 for i in iter_bits(m))
-    ]
 
 
 def test_enumeration_counts():
