@@ -1,15 +1,31 @@
 """Finite bounded distributive lattices as Heyting algebras and frames.
 
-Every FiniteLattice is kept in a canonical internal form: the carrier is
-re-represented as the family of upsets of a small base poset (the
-join-irreducibles under the reversed order), so binary meet and join are
-bitmask intersection and union.  Construction validates the lattice and
-distributive laws; the original labels and order are kept for I/O.
+A FiniteLattice keeps the order it was given, labels and all, for I/O,
+and beside it the Birkhoff representation on which it computes.  The
+join-irreducibles J under the reversed order form the base poset;
+upset_of[a] is the mask of the join-irreducibles below a, an upset of the
+base, and of_mask inverts that map.  Meet and join are & and | of these
+masks, the bottom and top are the empty and the full mask, and a
+complement is the complement mask when that is an upset.
 
-Meets and joins are found by principal-mask lookup: i*j exists iff
-down(i) & down(j) is the down-mask of some element, which is then the
-meet (joins mirror this with up-masks), so a failed lookup is a missing
-bound.  The implication table keeps the sup-based definition, a->b the
+Construction checks two conditions in O(n*|J|):
+(a) a <= b iff upset_of[a] is a subset of upset_of[b], so a -> upset_of[a]
+    is an order embedding (and injective, the order being antisymmetric);
+(b) the base has exactly n upsets, counted by ``posets._upsets``, which
+    stops as soon as the count passes n.
+Together they make the map an isomorphism onto the upsets of the base.
+By Birkhoff's representation theorem (Davey and Priestley, Introduction
+to Lattices and Order, 2nd ed., 2002, ch. 5) that holds iff the order is
+a distributive lattice.  The n x n tables meet_t and join_t are built
+from the masks on first use.
+
+The principal-mask lookup stays as the route that names failures: i*j
+exists iff down(i) & down(j) is the down-mask of some element (joins
+mirror this with up-masks).  ``_bound_tables`` builds both tables that
+way for validate_order and, when (a) or (b) fails, for the constructor,
+which then names the first missing bound or distributivity witness.
+
+The implication table keeps the sup-based definition, a->b the
 largest x with a*x <= b, solved per row over the fibres of x -> a*x
 (see FiniteLattice.imp); duality.upset_algebra checks every entry
 against the dual-space formula.
@@ -23,9 +39,17 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .errors import LatticeError, PosetError
-from .posets import FinitePoset, inclusion_up_masks, iter_bits, set_label, upset_masks
+from .posets import (
+    FinitePoset,
+    _upsets,
+    inclusion_up_masks,
+    iter_bits,
+    set_label,
+    upset_masks,
+)
 
 __all__ = [
     "FiniteLattice",
@@ -91,76 +115,40 @@ def _missing_bound(
 class FiniteLattice:
     """A finite bounded distributive lattice over an explicit order."""
 
-    __slots__ = (
-        "poset",
-        "bot",
-        "top",
-        "meet_t",
-        "join_t",
-        "base",
-        "upset_of",
-        "of_mask",
-        "_cache",
-    )
+    __slots__ = ("poset", "bot", "top", "base", "upset_of", "of_mask", "_cache")
 
     def __init__(self, poset: FinitePoset):
         n = poset.n
         if n == 0:
             raise LatticeError("empty carrier cannot be a bounded lattice")
-        meet_t, join_t = _bound_tables(poset)
-        missing = _missing_bound(meet_t, join_t)
-        if missing is not None:
-            kind, i, j = missing
-            raise LatticeError(
-                f"no {kind} for {poset.elements[i]!r} and {poset.elements[j]!r}"
-            )
-        bot = 0
-        top = 0
-        for i in range(1, n):
-            bot = meet_t[bot][i]
-            top = join_t[top][i]
 
         # join-irreducible iff exactly one lower cover (finite lattices),
         # i.e. iff the strict downset is principal; the bottom's is empty
         principal = {poset.down_mask(g) for g in range(n)}
         irr = [a for a in range(n) if poset.down_mask(a) & ~(1 << a) in principal]
 
-        upset_of = []
-        for a in range(n):
-            m = 0
-            for k, x in enumerate(irr):
-                if poset.leq_i(x, a):
-                    m |= 1 << k
-            upset_of.append(m)
+        # upset_of[a]: bit k set iff irr[k] <= a
+        upset_of = [0] * n
+        for k, x in enumerate(irr):
+            for a in iter_bits(poset.up_mask(x)):
+                upset_of[a] |= 1 << k
         # the base orders irr reversed: x's up-mask is the irr below it
         base = FinitePoset.from_up_masks(
             [poset.elements[a] for a in irr], [upset_of[a] for a in irr]
         )
 
-        # Birkhoff: L is distributive iff a -> upset_of[a] is injective and
-        # sends meets to & and joins to |, since a lattice embedded in a
-        # powerset is distributive.  Such a map is onto the upsets of base,
-        # each a join of principal ones upset_of[x] with x in irr, so
-        # of_mask holds every upset without listing them.
-        of_mask = {m: a for a, m in enumerate(upset_of)}
-        ok = len(of_mask) == n and all(
-            [of_mask.get(u & v) for v in upset_of] == meet_t[i]
-            and [of_mask.get(u | v) for v in upset_of] == join_t[i]
-            for i, u in enumerate(upset_of)
-        )
-        if not ok:
-            witness = _distributivity_witness(poset.elements, meet_t, join_t)
-            assert witness is not None, "non-distributive lattice without witness triple"
-            raise LatticeError(
-                "not distributive: a*(b+c) != (a*b)+(a*c) for "
-                f"a={witness[0]!r} b={witness[1]!r} c={witness[2]!r}"
-            )
+        # Birkhoff, conditions (a) and (b) of the module docstring: an order
+        # embedding into the upsets of base, which number exactly n
+        if (
+            inclusion_up_masks(upset_of) != list(poset._up)
+            or len(_upsets(base._up, n)) != n
+        ):
+            _raise_not_a_distributive_lattice(poset)
 
+        of_mask = {m: a for a, m in enumerate(upset_of)}
         self.poset = poset
-        self.bot = bot
-        self.top = top
-        self.meet_t = meet_t
-        self.join_t = join_t
+        self.bot = of_mask[0]
+        self.top = of_mask[(1 << len(irr)) - 1]
         self.base = base
         self.upset_of = tuple(upset_of)
         self.of_mask = of_mask
@@ -183,10 +171,30 @@ class FiniteLattice:
         return self.poset.leq_i(a, b)
 
     def meet(self, a: int, b: int) -> int:
-        return self.meet_t[a][b]
+        return self.of_mask[self.upset_of[a] & self.upset_of[b]]
 
     def join(self, a: int, b: int) -> int:
-        return self.join_t[a][b]
+        return self.of_mask[self.upset_of[a] | self.upset_of[b]]
+
+    @property
+    def meet_t(self) -> list[list[int]]:
+        """The n x n meet table, built from the masks on first use."""
+        table = self._cache.get("meet_t")
+        if table is None:
+            of_mask = self.of_mask
+            table = [[of_mask[u & v] for v in self.upset_of] for u in self.upset_of]
+            self._cache["meet_t"] = table
+        return table
+
+    @property
+    def join_t(self) -> list[list[int]]:
+        """The n x n join table, built from the masks on first use."""
+        table = self._cache.get("join_t")
+        if table is None:
+            of_mask = self.of_mask
+            table = [[of_mask[u | v] for v in self.upset_of] for u in self.upset_of]
+            self._cache["join_t"] = table
+        return table
 
     def meet_all(self, items: Iterable[int]) -> int:
         mask = self.upset_of[self.top]
@@ -216,9 +224,10 @@ class FiniteLattice:
             down = [poset.down_mask(k) for k in range(n)]
             below = [list(iter_bits(d)) for d in down]
             principal = {d: g for g, d in enumerate(down)}
+            meet_t = self.meet_t
             table = []
             for i in range(n):
-                meets = self.meet_t[i]
+                meets = meet_t[i]
                 group = [0] * n
                 for x, m in enumerate(meets):
                     group[m] |= 1 << x
@@ -245,6 +254,23 @@ class FiniteLattice:
 
     def to_json_dict(self) -> dict:
         return {"elements": list(self.labels), "leq": [list(p) for p in self.poset.covers()]}
+
+
+def _raise_not_a_distributive_lattice(poset: FinitePoset) -> NoReturn:
+    """Raise the first missing bound, else the first distributivity witness."""
+    meet_t, join_t = _bound_tables(poset)
+    missing = _missing_bound(meet_t, join_t)
+    if missing is not None:
+        kind, i, j = missing
+        raise LatticeError(
+            f"no {kind} for {poset.elements[i]!r} and {poset.elements[j]!r}"
+        )
+    witness = _distributivity_witness(poset.elements, meet_t, join_t)
+    assert witness is not None, "non-distributive lattice without witness triple"
+    raise LatticeError(
+        "not distributive: a*(b+c) != (a*b)+(a*c) for "
+        f"a={witness[0]!r} b={witness[1]!r} c={witness[2]!r}"
+    )
 
 
 def _distributivity_witness(
@@ -367,6 +393,7 @@ def meet_primes(lattice: FiniteLattice) -> int:
         return cached
     out = 0
     n = lattice.n
+    meet_t = lattice.meet_t
     for p in range(n):
         if p == lattice.top:
             continue
@@ -375,7 +402,7 @@ def meet_primes(lattice: FiniteLattice) -> int:
             if lattice.poset.leq_i(a, p):
                 continue
             for b in range(n):
-                if lattice.poset.leq_i(lattice.meet_t[a][b], p) and not lattice.poset.leq_i(b, p):
+                if lattice.poset.leq_i(meet_t[a][b], p) and not lattice.poset.leq_i(b, p):
                     good = False
                     break
             if not good:
@@ -524,13 +551,10 @@ def essential_primes(lattice: FiniteLattice, a: int) -> EssentialPrimes:
 
 
 def complement_of(lattice: FiniteLattice, a: int) -> int | None:
-    for b in range(lattice.n):
-        if (
-            lattice.meet_t[a][b] == lattice.bot
-            and lattice.join_t[a][b] == lattice.top
-        ):
-            return b
-    return None
+    """The b with a*b = bot and a+b = top, or None: on the masks, b's is
+    the complement of a's when that is an upset of the base."""
+    full = lattice.upset_of[lattice.top]
+    return lattice.of_mask.get(full & ~lattice.upset_of[a])
 
 
 def is_boolean(lattice: FiniteLattice) -> bool:

@@ -322,12 +322,22 @@ def preimage_mask(mask: int, mapping: Sequence[int]) -> int:
     return out
 
 
+_UPSET_CAP = 1 << 20
+
+
 def upset_masks(poset: FinitePoset) -> tuple[int, ...]:
-    """All upsets of the poset, ascending by mask value."""
-    n = poset.n
-    if n > 20:
-        raise SizeBoundError(f"refusing to enumerate upsets of a {n}-element poset")
-    return tuple(_upsets(poset._up))
+    """All upsets of the poset, ascending by mask value.
+
+    Refused as soon as the list being grown passes 2^20 entries, so a
+    long chain lists its few upsets while a wide antichain is refused.
+    """
+    masks = _upsets(poset._up, _UPSET_CAP)
+    if len(masks) > _UPSET_CAP:
+        raise SizeBoundError(
+            f"refusing to enumerate upsets of a {poset.n}-element poset:"
+            " more than 2^20 upsets"
+        )
+    return tuple(masks)
 
 
 # -- extending an order by one point --------------------------------------
@@ -348,14 +358,22 @@ def _opens_with_point(opens: Sequence[int], k: int, below: int, above: int) -> l
     ]
 
 
-def _upsets(up: Sequence[int]) -> list[int]:
+def _upsets(up: Sequence[int], cap: int | None = None) -> list[int]:
     """All upsets of a preorder given by its up-masks, ascending by mask,
-    grown point by point so the work follows the output."""
+    grown point by point so the work follows the output.
+
+    With a cap, growth stops at the first level holding more than cap
+    upsets and that level is returned: a level has at least as many
+    upsets as the one before, so a result longer than cap means the
+    preorder has more than cap upsets.
+    """
     down = _down_masks(up)
     opens = [0]
     for k in range(len(up)):
         old = (1 << k) - 1
         opens = _opens_with_point(opens, k, down[k] & old, up[k] & old)
+        if cap is not None and len(opens) > cap:
+            break
     return opens
 
 

@@ -27,7 +27,8 @@ from esakia.lattices import (
     validate_order,
 )
 from esakia.posets import FinitePoset, enumerate_posets, iter_bits, maximal_points
-from esakia.spaces import enumerate_topologies, open_frame
+from esakia.nuclei import assembly_frame
+from esakia.spaces import FiniteSpace, enumerate_topologies, open_frame
 
 from conftest import posets
 
@@ -433,8 +434,13 @@ def test_tables_match_the_literal_definitions_on_open_frames():
             assert_matches_oracle(open_frame(s))
 
 
-@given(posets(max_size=5))
-def test_constructor_agrees_with_the_oracle_on_raw_posets(p):
+def test_tables_match_the_literal_definitions_on_assemblies():
+    for n in range(1, 4):
+        for p in enumerate_posets(n):
+            assert_matches_oracle(assembly_frame(birkhoff_lattice(p)).lattice)
+
+
+def assert_constructor_matches_oracle(p: FinitePoset) -> None:
     meet, join = oracle_tables(p)
     expected = oracle_error(p, meet, join)
     if expected is None:
@@ -443,6 +449,39 @@ def test_constructor_agrees_with_the_oracle_on_raw_posets(p):
         with pytest.raises(LatticeError) as exc:
             FiniteLattice(p)
         assert str(exc.value) == expected
+
+
+@given(posets(max_size=5))
+def test_constructor_agrees_with_the_oracle_on_raw_posets(p):
+    assert_constructor_matches_oracle(p)
+
+
+def test_constructor_agrees_with_the_oracle_on_every_small_poset():
+    # n = 6 is the least size with a non-lattice whose base has exactly n
+    # upsets and whose bottom and top masks are both hit, so that only the
+    # order-embedding condition of the constructor refuses it
+    for n in range(1, 7):
+        for p in enumerate_posets(n):
+            assert_constructor_matches_oracle(p)
+
+
+def test_tables_are_built_only_on_demand():
+    sierpinski = FiniteSpace(["a", "b"], [0b00, 0b01, 0b11])
+    for lat in (
+        birkhoff_lattice(FinitePoset.antichain(2)),
+        open_frame(sierpinski),
+        assembly_frame(lat3()).lattice,
+    ):
+        r = range(lat.n)
+        meets = [[lat.meet(a, b) for b in r] for a in r]
+        joins = [[lat.join(a, b) for b in r] for a in r]
+        for a in r:
+            complement_of(lat, a)
+        is_boolean(lat)
+        assert "meet_t" not in lat._cache and "join_t" not in lat._cache
+        assert lat.meet_t == meets and lat.join_t == joins
+        assert lat._cache["meet_t"] is lat.meet_t
+        assert lat._cache["join_t"] is lat.join_t
 
 
 @pytest.mark.parametrize(

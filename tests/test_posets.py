@@ -132,6 +132,19 @@ def test_upset_masks_match_the_scan():
             assert upset_masks(p) == tuple(scan_preorder_opens(p._up))
 
 
+def test_upset_cap_counts_the_output_not_the_carrier():
+    # a capped grow stops at the first level past the cap, and only then
+    three = FinitePoset.antichain(3)._up
+    assert _upsets(three, 8) == list(range(8))
+    assert len(_upsets(three, 7)) > 7
+    assert len(upset_masks(FinitePoset.chain(21))) == 22
+    with pytest.raises(SizeBoundError) as exc:
+        upset_masks(FinitePoset.antichain(21))
+    assert str(exc.value) == (
+        "refusing to enumerate upsets of a 21-element poset: more than 2^20 upsets"
+    )
+
+
 def test_preorder_growth_counts_the_preorder_classes():
     # the same grower without antisymmetry gives the preorders up to
     # isomorphism, OEIS A001930
