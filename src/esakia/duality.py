@@ -96,16 +96,21 @@ def phi(space: EsakiaSpaceFin, a: int) -> int:
     return phi_table(space)[a]
 
 
-def phi_inverse(space: EsakiaSpaceFin, mask: int) -> int:
-    """The unique carrier element with phi(a) == mask."""
+def _phi_lookup(space: EsakiaSpaceFin) -> dict[int, int]:
+    """phi(a) -> a for every carrier element a, memoised in the source."""
     if space.source is None:
         raise LatticeError("space has no source lattice attached")
     lookup = space.source._cache.get("phi_inverse")
     if lookup is None:
         lookup = {m: a for a, m in enumerate(phi_table(space))}
         space.source._cache["phi_inverse"] = lookup
+    return lookup
+
+
+def phi_inverse(space: EsakiaSpaceFin, mask: int) -> int:
+    """The unique carrier element with phi(a) == mask."""
     try:
-        return lookup[mask]
+        return _phi_lookup(space)[mask]
     except KeyError:
         raise LatticeError(f"mask {mask:#x} is not the image of a lattice element") from None
 

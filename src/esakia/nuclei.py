@@ -7,14 +7,33 @@ closure-system (NextClosure) oracle below recovers the same nuclei
 independently from the closure conditions on fixpoint sets, and the two
 routes are compared in the test suite rather than collapsed into one
 implementation.
+
+The kernels work on whole masks: phi(a), the points whose filter holds
+a, and the lattice's Birkhoff masks (``FiniteLattice.upset_of``), on
+which meet and join are & and |.
+
+* ``to_nuclear_set`` is full & ~OR_a (phi(j(a)) ^ phi(a)): the points
+  that no a moves in or out of their filter.
+* ``from_nuclear_set`` reads phi(j(a)) as the complement of the
+  down-closure of mask - phi(a), from down-closures memoised per lattice
+  and filled on demand (``_DownClosures``).
+* ``validate_nucleus`` decides the three axioms by subset tests and by
+  ``_preserves_meets``, which asks that the elements sent above each
+  join-irreducible form a principal filter (or none).  Only a table
+  that splits a meet is scanned pair by pair, by ``_first_split_meet``,
+  for the witness the report names.
+* ``nucleus_leq`` compares packed rows of Birkhoff masks, and
+  ``nuclei_meet``, the iteration route of ``nuclei_join`` and the tables
+  of the NextClosure oracle take & and | of Birkhoff masks.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .bounds import assembly_bound, oracle_bound, tower_bound
-from .duality import EsakiaSpaceFin, dual_space, phi_inverse, phi_table
+from .duality import EsakiaSpaceFin, _phi_lookup, dual_space, phi_table
 from .errors import NucleusError, SizeBoundError
 from .lattices import (
     FiniteLattice,
@@ -26,7 +45,6 @@ from .lattices import (
 )
 from .posets import (
     FinitePoset,
-    down_closure,
     find_isomorphism,
     inclusion_up_masks,
     iter_bits,
@@ -84,35 +102,77 @@ class NucleusReport:
 
 
 def validate_nucleus(lattice: FiniteLattice, values: tuple[int, ...]) -> NucleusReport:
-    """Check the three nucleus axioms, reporting the first witness."""
+    """Check the three nucleus axioms, reporting the first witness.
+
+    The axioms are decided on the Birkhoff masks: a <= j(a) and
+    j(j(a)) <= j(a) are subset tests, and meets are decided by
+    ``_preserves_meets``.  Only when that fails are the pairs (a, b),
+    b >= a, scanned row by row for the first one that j splits.  The
+    witness is the first element that is not inflationary, else the
+    first that is not idempotent, else that pair.
+    """
     n = lattice.n
     if len(values) != n or any(v < 0 or v >= n for v in values):
         return NucleusReport(False, False, False, False, ("value table malformed",))
-    inflationary = True
-    idempotent = True
-    meets = True
+    up = lattice.upset_of
+    image = [up[v] for v in values]
+    # the a with a not <= j(a), and the a with j(j(a)) not <= j(a)
+    lowered = [a for a in range(n) if up[a] & ~image[a]]
+    raised = [a for a in range(n) if image[values[a]] & ~image[a]]
+    split = None if _preserves_meets(lattice, values) else _first_split_meet(lattice, image)
     witness: tuple[str, ...] | None = None
-    for a in range(n):
-        if not lattice.poset.leq_i(a, values[a]):
-            inflationary = False
-            if witness is None:
-                witness = (lattice.labels[a],)
-    for a in range(n):
-        if not lattice.poset.leq_i(values[values[a]], values[a]):
-            idempotent = False
-            if witness is None:
-                witness = (lattice.labels[a],)
-    for a in range(n):
-        for b in range(a, n):
-            if values[lattice.meet(a, b)] != lattice.meet(values[a], values[b]):
-                meets = False
-                if witness is None:
-                    witness = (lattice.labels[a], lattice.labels[b])
-                break
-        if not meets:
-            break
+    if lowered:
+        witness = (lattice.labels[lowered[0]],)
+    elif raised:
+        witness = (lattice.labels[raised[0]],)
+    elif split is not None:
+        witness = (lattice.labels[split[0]], lattice.labels[split[1]])
+    inflationary, idempotent, meets = not lowered, not raised, split is None
     ok = inflationary and idempotent and meets
     return NucleusReport(ok, inflationary, idempotent, meets, witness)
+
+
+def _preserves_meets(lattice: FiniteLattice, values: Sequence[int]) -> bool:
+    """Does a -> values[a] preserve binary meets?
+
+    It does iff, for each join-irreducible c, the elements a with
+    c <= j(a) are none or a principal filter: that makes j monotone
+    (every element is the join of the join-irreducibles below it), and
+    then c <= j(a) * j(b) puts a * b in the filter.  A nonempty set of
+    elements is a principal filter iff it is the up-set of the meet of
+    its members, whose Birkhoff mask holds bit k iff the set lies in
+    holders[k], the elements above the k-th join-irreducible.
+    """
+    holders = [lattice.poset.up_mask(lattice.of_mask[m]) for m in lattice.base._up]
+    preimage: dict[int, int] = {}
+    for a, v in enumerate(values):
+        preimage[v] = preimage.get(v, 0) | 1 << a
+    for h in holders:
+        above = 0
+        for v, pre in preimage.items():
+            if h >> v & 1:
+                above |= pre
+        if not above:
+            continue
+        low = 0
+        for k, g in enumerate(holders):
+            if not above & ~g:
+                low |= 1 << k
+        if above != lattice.poset.up_mask(lattice.of_mask[low]):
+            return False
+    return True
+
+
+def _first_split_meet(lattice: FiniteLattice, image: Sequence[int]) -> tuple[int, int] | None:
+    """The first pair (a, b), b >= a, row by row, with j(a * b) != j(a) * j(b),
+    on the Birkhoff masks image[a] of the values j(a)."""
+    up = lattice.upset_of
+    of_mask = lattice.of_mask
+    for a in range(lattice.n):
+        for b in range(a, lattice.n):
+            if image[of_mask[up[a] & up[b]]] != image[a] & image[b]:
+                return a, b
+    return None
 
 
 def identity_nucleus(lattice: FiniteLattice) -> Nucleus:
@@ -136,7 +196,31 @@ def make_w(lattice: FiniteLattice, a: int) -> Nucleus:
 
 
 def nucleus_leq(lattice: FiniteLattice, j: Nucleus, k: Nucleus) -> bool:
-    return all(lattice.poset.leq_i(j.values[a], k.values[a]) for a in range(lattice.n))
+    """Is j(a) <= k(a) for every a?  That holds iff each Birkhoff mask of
+    j(a) is a subset of k(a)'s, so iff the packed row of j is a subset of
+    k's row; the rows are memoised in ``_cache["nucleus_rows"]``."""
+    rows = lattice._cache.get("nucleus_rows")
+    if rows is None:
+        rows = lattice._cache["nucleus_rows"] = _PackedRows(lattice)
+    return not rows[j.values] & ~rows[k.values]
+
+
+class _PackedRows(dict):
+    """Packed rows of value tables, keyed by the table and filled on
+    demand: the Birkhoff masks of j(0), j(1), ... side by side, in fields
+    of |J| bits."""
+
+    def __init__(self, lattice: FiniteLattice):
+        super().__init__()
+        self.masks = lattice.upset_of
+        self.width = lattice.base.n
+
+    def __missing__(self, values: tuple[int, ...]) -> int:
+        row = 0
+        for a, v in enumerate(values):
+            row |= self.masks[v] << a * self.width
+        self[values] = row
+        return row
 
 
 # -- nuclear subsets of the dual space --------------------------------------
@@ -154,30 +238,44 @@ def is_nuclear(space: EsakiaSpaceFin, mask: int) -> bool:
 def to_nuclear_set(space: EsakiaSpaceFin, j: Nucleus) -> int:
     """Points whose prime filter is its own preimage under the nucleus.
 
-    Memoised in the source lattice's ``_cache["to_nuclear_set"]``, keyed
-    by the full value table ``j.values``.
+    Bit y of phi(j(a)) ^ phi(a) is set iff j(a) and a disagree on the
+    filter at y, so the points whose filter equals its preimage are those
+    that no a moves: full & ~OR_a (phi(j(a)) ^ phi(a)).  Memoised in the
+    source lattice's ``_cache["to_nuclear_set"]``, keyed by the full
+    value table ``j.values``.
     """
     if space.filters is None or space.source is None:
         raise NucleusError("space has no source lattice attached")
-    lattice = space.source
-    memo = lattice._cache.setdefault("to_nuclear_set", {})
+    memo = space.source._cache.setdefault("to_nuclear_set", {})
     out = memo.get(j.values)
     if out is not None:
         return out
-    out = 0
-    for k, members in enumerate(space.filters):
-        pre = 0
-        for a in range(lattice.n):
-            if members >> j.values[a] & 1:
-                pre |= 1 << a
-        if pre == members:
-            out |= 1 << k
-    memo[j.values] = out
+    table = phi_table(space)
+    moved = 0
+    for v, t in zip(j.values, table):
+        moved |= table[v] ^ t
+    out = memo[j.values] = space.poset.full_mask & ~moved
     return out
 
 
+class _DownClosures(dict):
+    """Down-closures in a poset, keyed by mask and filled on demand: the
+    closure of a mask is the closure of the mask without its lowest
+    point, OR'd with that point's down-mask."""
+
+    def __init__(self, down: Sequence[int]):
+        super().__init__({0: 0})
+        self.down = down
+
+    def __missing__(self, mask: int) -> int:
+        low = mask & -mask
+        out = self[mask] = self[mask ^ low] | self.down[low.bit_length() - 1]
+        return out
+
+
 def from_nuclear_set(space: EsakiaSpaceFin, mask: int) -> Nucleus:
-    """The nucleus induced by a nuclear set, through its action on opens.
+    """The nucleus induced by a nuclear set, through its action on opens:
+    phi(j(a)) is the complement of the down-closure of mask - phi(a).
 
     Memoised in the source lattice's ``_cache["from_nuclear_set"]``, keyed
     by the mask; the range is checked before the lookup, so only masks of
@@ -191,13 +289,15 @@ def from_nuclear_set(space: EsakiaSpaceFin, mask: int) -> Nucleus:
     out = memo.get(mask)
     if out is not None:
         return out
-    table = phi_table(space)
+    closures = lattice._cache.get("dual_down_closures")
+    if closures is None:
+        closures = lattice._cache["dual_down_closures"] = _DownClosures(space.poset._down)
+    # the complement of a down-closure is an upset, and phi is onto the
+    # upsets, so every lookup hits
+    lookup = _phi_lookup(space)
     full = space.poset.full_mask
-    values = []
-    for a in range(lattice.n):
-        img = full & ~down_closure(space.poset, mask & ~table[a])
-        values.append(phi_inverse(space, img))
-    out = memo[mask] = Nucleus(tuple(values))
+    values = tuple(lookup[full & ~closures[mask & ~t]] for t in phi_table(space))
+    out = memo[mask] = Nucleus(values)
     return out
 
 
@@ -243,9 +343,13 @@ def assembly_frame(lattice: FiniteLattice) -> AssemblyFrame:
 
 
 def nuclei_meet(lattice: FiniteLattice, js: list[Nucleus]) -> Nucleus:
-    """Pointwise meet; the empty meet is the top nucleus."""
-    top_row = (lattice.top,) * lattice.n
-    return Nucleus(tuple(map(lattice.meet_all, zip(top_row, *(j.values for j in js)))))
+    """Pointwise meet, the & of the Birkhoff masks; the empty meet is the
+    top nucleus."""
+    up = lattice.upset_of
+    masks = [up[lattice.top]] * lattice.n
+    for j in js:
+        masks = [m & up[v] for m, v in zip(masks, j.values)]
+    return Nucleus(tuple(map(lattice.of_mask.__getitem__, masks)))
 
 
 def nuclear_sets_meet(space: EsakiaSpaceFin, masks: list[int]) -> int:
@@ -265,7 +369,11 @@ def nuclei_join(lattice: FiniteLattice, space: EsakiaSpaceFin, js: list[Nucleus]
     """
     inter = nuclear_sets_meet(space, [to_nuclear_set(space, j) for j in js])
     primary = from_nuclear_set(space, inter)
-    g = tuple(map(lattice.join_all, zip(range(lattice.n), *(j.values for j in js))))
+    up = lattice.upset_of
+    masks = list(up)
+    for j in js:
+        masks = [m | up[v] for m, v in zip(masks, j.values)]
+    g = tuple(map(lattice.of_mask.__getitem__, masks))
     h = g
     while True:
         nxt = tuple(g[x] for x in h)
@@ -348,11 +456,20 @@ def enumerate_nuclei_oracle(lattice: FiniteLattice, *, bound: int | None = None)
             if nxt >= 0:
                 break
         fixed = nxt
+    # j(a) is the meet of the members of s above a: the & of their masks
     up = lattice.poset._up
-    return [
-        Nucleus(tuple(lattice.meet_all(iter_bits(s & up[a])) for a in range(n)))
-        for s in found
-    ]
+    birkhoff = lattice.upset_of
+    top = birkhoff[lattice.top]
+    tables = []
+    for s in found:
+        values = []
+        for a in range(n):
+            m = top
+            for x in iter_bits(s & up[a]):
+                m &= birkhoff[x]
+            values.append(lattice.of_mask[m])
+        tables.append(Nucleus(tuple(values)))
+    return tables
 
 
 # -- derived frames -----------------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, islice, permutations
 
 from .bounds import poset_bound
 from .errors import PosetError, SizeBoundError, SubsetError
@@ -343,35 +343,40 @@ def upset_masks(poset: FinitePoset) -> tuple[int, ...]:
 # -- extending an order by one point --------------------------------------
 
 
-def _opens_with_point(opens: Sequence[int], k: int, below: int, above: int) -> list[int]:
+def _opens_with_point(
+    opens: Sequence[int], k: int, below: int, above: int, limit: int | None = None
+) -> list[int]:
     """The upsets of a preorder on points 0..k-1 extended by a point k.
 
     below and above are the old points x <= k and k <= x, a downset and an
     upset of the old preorder with every member of below under every member
     of above (points in both become equivalent to k).  A new upset either
     misses k, and then misses every point below it, or holds k and every
-    point above it.  Ascending input gives ascending output.
+    point above it.  Ascending input gives ascending output.  With a limit,
+    only the first limit upsets are made.
     """
     bit = 1 << k
-    return [v for v in opens if not v & below] + [
-        v | bit for v in opens if not above & ~v
-    ]
+    grown = chain(
+        (v for v in opens if not v & below), (v | bit for v in opens if not above & ~v)
+    )
+    return list(islice(grown, limit))
 
 
 def _upsets(up: Sequence[int], cap: int | None = None) -> list[int]:
     """All upsets of a preorder given by its up-masks, ascending by mask,
     grown point by point so the work follows the output.
 
-    With a cap, growth stops at the first level holding more than cap
-    upsets and that level is returned: a level has at least as many
-    upsets as the one before, so a result longer than cap means the
-    preorder has more than cap upsets.
+    With a cap, growth stops as soon as a level holds cap + 1 upsets and
+    that partial level is returned: a level has at least as many upsets
+    as the one before, so a result longer than cap means the preorder
+    has more than cap upsets.
     """
     down = _down_masks(up)
+    limit = None if cap is None else cap + 1
     opens = [0]
     for k in range(len(up)):
         old = (1 << k) - 1
-        opens = _opens_with_point(opens, k, down[k] & old, up[k] & old)
+        opens = _opens_with_point(opens, k, down[k] & old, up[k] & old, limit)
         if cap is not None and len(opens) > cap:
             break
     return opens
@@ -407,30 +412,54 @@ def _extensions(opens: Sequence[int], k: int, antisymmetric: bool) -> Iterator[t
 
 
 def _heights(up: Sequence[int], down: Sequence[int]) -> list[int]:
-    # strict dominance keeps this well-founded on preorders as well
-    n = len(up)
-    strict = [down[i] & ~up[i] for i in range(n)]
-    order = sorted(range(n), key=lambda i: bin(strict[i]).count("1"))
-    h = [0] * n
-    for i in order:
-        h[i] = 1 + max((h[j] for j in iter_bits(strict[i])), default=-1)
+    """The length of the longest strict chain below each point, found by
+    peeling off the minimal points of what is left, one layer at a time.
+    Strict dominance keeps this well-founded on preorders as well."""
+    strict = [d & ~u for u, d in zip(up, down)]
+    h = [0] * len(up)
+    rest = (1 << len(up)) - 1
+    height = 0
+    while rest:
+        layer = [i for i in iter_bits(rest) if not strict[i] & rest]
+        for i in layer:
+            h[i] = height
+            rest ^= 1 << i
+        height += 1
     return h
 
 
 def _invariants(up: Sequence[int], down: Sequence[int]) -> list[tuple]:
-    """Per-element isomorphism invariants, refined once by neighbourhood."""
+    """Per-element isomorphism invariants, refined once by neighbourhood.
+
+    Each element's base invariant is (down count, up count, height,
+    depth); the refinement adds the sorted base invariants of the other
+    elements above it and below it.  Those multisets are counted off the
+    mask of each base class in ascending class order, which lists them
+    already sorted.
+    """
     n = len(up)
     heights = _heights(up, down)
     depths = _heights(down, up)
     base = [
-        (bin(down[i]).count("1"), bin(up[i]).count("1"), heights[i], depths[i])
+        (down[i].bit_count(), up[i].bit_count(), heights[i], depths[i])
         for i in range(n)
     ]
+    members: dict[tuple, int] = {}
+    for i, b in enumerate(base):
+        members[b] = members.get(b, 0) | 1 << i
+    classes = sorted(members.items())
     out = []
     for i in range(n):
-        ups = tuple(sorted(base[j] for j in iter_bits(up[i]) if j != i))
-        downs = tuple(sorted(base[j] for j in iter_bits(down[i]) if j != i))
-        out.append((base[i], ups, downs))
+        above = up[i] & ~(1 << i)
+        below = down[i] & ~(1 << i)
+        ups: list[tuple] = []
+        downs: list[tuple] = []
+        for b, m in classes:
+            if above & m:
+                ups += [b] * (above & m).bit_count()
+            if below & m:
+                downs += [b] * (below & m).bit_count()
+        out.append((base[i], tuple(ups), tuple(downs)))
     return out
 
 

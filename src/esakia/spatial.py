@@ -27,7 +27,13 @@ from .lattices import (
     points,
 )
 from .nuclei import assembly_frame
-from .posets import FinitePoset, iter_bits, maximal_points, upset_masks
+from .posets import (
+    FinitePoset,
+    inclusion_up_masks,
+    iter_bits,
+    maximal_points,
+    upset_masks,
+)
 
 __all__ = [
     "PointSet",
@@ -262,26 +268,23 @@ class JoinPrimeReport:
 def join_primes_of_assembly(lattice: FiniteLattice) -> JoinPrimeReport:
     """Join-primes among nuclear sets under inclusion, straight from the
     definition, compared with the singleton nuclear points; the point
-    counts of the frame and its assembly are compared alongside."""
+    counts of the frame and its assembly are compared alongside.
+
+    A nonempty m is prime iff m <= a | b implies m <= a or m <= b.  For a
+    not holding m, the b with m <= a | b are exactly the sets holding
+    m - a, so m is prime iff, for each such a, every set holding m - a
+    holds m.  held[x] is the mask (over indices of sets) of the sets
+    holding x; every subset of the discrete dual is a nuclear set (see
+    ``nuclei.is_nuclear``), so m - a is one of them.
+    """
     asm = assembly_frame(lattice)
     sets = asm.sets
-    jp = []
-    for m in sets:
-        if m == 0:
-            continue
-        prime = True
-        for a in sets:
-            for b in sets:
-                u = a | b
-                if m & ~u:
-                    continue
-                if m & ~a and m & ~b:
-                    prime = False
-                    break
-            if not prime:
-                break
-        if prime:
-            jp.append(m)
+    held = dict(zip(sets, inclusion_up_masks(sets)))
+    jp = [
+        m
+        for m in sets
+        if m and all(not held[m & ~a] & ~held[m] for a in sets if m & ~a)
+    ]
     want = {1 << y for y in iter_bits(nuclear_points(lattice).mask)}
     pt_l = len(points(lattice))
     pt_n = len(points(asm.lattice))

@@ -2,7 +2,9 @@ import random
 
 from hypothesis import strategies as st
 
-from esakia.posets import FinitePoset, iter_bits
+from esakia.lattices import birkhoff_lattice
+from esakia.posets import FinitePoset, enumerate_posets, iter_bits
+from esakia.spaces import enumerate_topologies, open_frame
 
 _LETTERS = "abcdefgh"
 
@@ -42,3 +44,15 @@ def scan_preorder_opens(up):
         for m in range(1 << len(up))
         if all(up[i] & ~m == 0 for i in iter_bits(m))
     ]
+
+
+def reference_frames():
+    """Fresh frames for the kernel-against-scan tests: each poset with
+    n <= 6 with its Birkhoff lattice, then (None, its open frame) for each
+    topology with n <= 4."""
+    for n in range(7):
+        for p in enumerate_posets(n):
+            yield p, birkhoff_lattice(p)
+    for n in range(5):
+        for s in enumerate_topologies(n):
+            yield None, open_frame(s)

@@ -1,8 +1,11 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from esakia import nuclei
-from esakia.duality import dual_space, phi
+from esakia.duality import dual_space, phi, phi_inverse
 from esakia.errors import NucleusError, SizeBoundError, SubsetError
 from esakia.lattices import (
     FiniteLattice,
@@ -33,10 +36,16 @@ from esakia.nuclei import (
     validate_nucleus,
     w_decomposition_check,
 )
-from esakia.posets import FinitePoset, enumerate_posets, find_isomorphism, iter_bits
+from esakia.posets import (
+    FinitePoset,
+    down_closure,
+    enumerate_posets,
+    find_isomorphism,
+    iter_bits,
+)
 from esakia.spaces import enumerate_topologies, open_frame
 
-from conftest import posets
+from conftest import posets, reference_frames
 
 
 def make_nucleus(lattice, values):
@@ -75,6 +84,64 @@ def scan_nuclei_oracle(lattice):
             tuple(lattice.meet_all(iter_bits(cand & up[a])) for a in range(n))
         )
     return out
+
+
+def scan_validate_nucleus(lattice, values):
+    """The literal oracle: each axiom checked element by element, the
+    meet one pair (a, b), b >= a, at a time, with the first witness."""
+    n = lattice.n
+    if len(values) != n or any(v < 0 or v >= n for v in values):
+        return nuclei.NucleusReport(False, False, False, False, ("value table malformed",))
+    inflationary = True
+    idempotent = True
+    meets = True
+    witness = None
+    for a in range(n):
+        if not lattice.poset.leq_i(a, values[a]):
+            inflationary = False
+            if witness is None:
+                witness = (lattice.labels[a],)
+    for a in range(n):
+        if not lattice.poset.leq_i(values[values[a]], values[a]):
+            idempotent = False
+            if witness is None:
+                witness = (lattice.labels[a],)
+    for a in range(n):
+        for b in range(a, n):
+            if values[lattice.meet(a, b)] != lattice.meet(values[a], values[b]):
+                meets = False
+                if witness is None:
+                    witness = (lattice.labels[a], lattice.labels[b])
+                break
+        if not meets:
+            break
+    ok = inflationary and idempotent and meets
+    return nuclei.NucleusReport(ok, inflationary, idempotent, meets, witness)
+
+
+def scan_to_nuclear_set(space, j):
+    """The literal oracle: the points whose filter equals its preimage,
+    one filter at a time."""
+    lattice = space.source
+    out = 0
+    for k, members in enumerate(space.filters):
+        pre = 0
+        for a in range(lattice.n):
+            if members >> j.values[a] & 1:
+                pre |= 1 << a
+        if pre == members:
+            out |= 1 << k
+    return out
+
+
+def scan_from_nuclear_set(space, mask):
+    """The literal oracle: phi(j(a)) is the complement of the
+    down-closure of mask - phi(a), one element at a time."""
+    full = space.poset.full_mask
+    return tuple(
+        phi_inverse(space, full & ~down_closure(space.poset, mask & ~phi(space, a)))
+        for a in range(space.source.n)
+    )
 
 
 def lat3():
@@ -411,3 +478,74 @@ def test_meet_and_join_stay_nuclear(p, seed):
     assert to_nuclear_set(space, joined) == to_nuclear_set(
         space, a
     ) & to_nuclear_set(space, b)
+
+
+def test_nuclear_set_kernels_match_the_literal_scans():
+    # every mask through from_nuclear_set, every nucleus and a few tables
+    # that are not nuclei through to_nuclear_set, each on a cold lattice
+    frames = 0
+    for _, lat in reference_frames():
+        space = dual_space(lat)
+        for mask in range(space.poset.full_mask + 1):
+            assert from_nuclear_set(space, mask).values == scan_from_nuclear_set(space, mask)
+        tables = [j.values for j in enumerate_nuclei_oracle(lat)]
+        tables += [(lat.bot,) * lat.n, tuple(reversed(range(lat.n)))]
+        for values in tables:
+            j = nuclei.Nucleus(values)
+            assert to_nuclear_set(space, j) == scan_to_nuclear_set(space, j)
+        frames += 1
+    assert frames == 406 + 390
+
+
+def small_lattice_frames():
+    """Every lattice with at most 5 elements: the Birkhoff lattices of
+    posets and the open frames of topologies, so labels come in more
+    than one order."""
+    for n in range(5):
+        for p in enumerate_posets(n):
+            lat = birkhoff_lattice(p)
+            if lat.n <= 5:
+                yield lat
+    for n in range(4):
+        for s in enumerate_topologies(n):
+            lat = open_frame(s)
+            if lat.n <= 5:
+                yield lat
+
+
+def test_validate_nucleus_matches_the_element_scan_on_every_table():
+    tables = 0
+    for lat in small_lattice_frames():
+        for values in itertools.product(range(lat.n), repeat=lat.n):
+            assert validate_nucleus(lat, values) == scan_validate_nucleus(lat, values)
+            tables += 1
+        for bad in ((0,) * (lat.n + 1), (lat.n,) * lat.n, (-1,) * lat.n):
+            assert validate_nucleus(lat, bad) == scan_validate_nucleus(lat, bad)
+    assert tables == 31_458
+
+
+def test_validate_nucleus_matches_the_element_scan_near_nuclei():
+    # larger lattices: every oracle nucleus, then each with one value moved
+    rng = random.Random(14)
+    for p, lat in reference_frames():
+        if p is None or p.n > 5:
+            continue
+        for j in enumerate_nuclei_oracle(lat):
+            assert validate_nucleus(lat, j.values) == scan_validate_nucleus(lat, j.values)
+            for _ in range(3):
+                values = list(j.values)
+                values[rng.randrange(lat.n)] = rng.randrange(lat.n)
+                values = tuple(values)
+                assert validate_nucleus(lat, values) == scan_validate_nucleus(lat, values)
+
+
+def test_nucleus_leq_is_the_pointwise_order():
+    for n in range(5):
+        for p in enumerate_posets(n):
+            lat = birkhoff_lattice(p)
+            tables = [j.values for j in enumerate_nuclei_oracle(lat)]
+            tables += [make_u(lat, a).values for a in range(lat.n)]
+            for x in tables:
+                for y in tables:
+                    want = all(lat.leq(a, b) for a, b in zip(x, y))
+                    assert nucleus_leq(lat, nuclei.Nucleus(x), nuclei.Nucleus(y)) == want

@@ -12,7 +12,7 @@ from esakia.lattices import (
     min_primes,
     points,
 )
-from esakia.nuclei import make_u, to_nuclear_set
+from esakia.nuclei import assembly_frame, make_u, to_nuclear_set
 from esakia.posets import FinitePoset, enumerate_posets, iter_bits
 from esakia.spatial import (
     assembly_spatial_report,
@@ -24,7 +24,7 @@ from esakia.spatial import (
     nuclear_points,
 )
 
-from conftest import posets
+from conftest import posets, reference_frames
 
 
 def lat3():
@@ -116,6 +116,24 @@ def test_join_primes_are_singletons():
     assert rep.ok and rep.counts_match
     assert sorted(rep.join_primes) == [0b01, 0b10]
     assert rep.point_count == rep.assembly_point_count == 2
+
+
+def scan_join_primes(sets) -> list[int]:
+    """The literal oracle: the nonempty m such that no pair (a, b) of sets
+    has m <= a | b with m <= neither."""
+    out = []
+    for m in sets:
+        if m and not any(
+            not m & ~(a | b) and m & ~a and m & ~b for a in sets for b in sets
+        ):
+            out.append(m)
+    return out
+
+
+def test_join_primes_match_the_pair_scan():
+    for _, lat in reference_frames():
+        sets = assembly_frame(lat).sets
+        assert join_primes_of_assembly(lat).join_primes == tuple(scan_join_primes(sets))
 
 
 def meet_primes_via_dual(lat) -> set[int]:
