@@ -24,8 +24,6 @@ _DEFAULTS = {
     "ESAKIA_TOPOLOGY_BOUND": 5,
     # largest dual-space size for building the assembly as a lattice
     "ESAKIA_ASSEMBLY_BOUND": 8,
-    # how many assembly steps tower() may iterate
-    "ESAKIA_TOWER_BOUND": 2,
 }
 
 
@@ -53,6 +51,3 @@ def topology_bound() -> int:
 def assembly_bound() -> int:
     return _get("ESAKIA_ASSEMBLY_BOUND")
 
-
-def tower_bound() -> int:
-    return _get("ESAKIA_TOWER_BOUND")

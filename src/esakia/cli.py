@@ -237,7 +237,7 @@ def _check_lattice(args) -> dict:
         ok = all(w_decomposition_check(lat, j) for j in enumerate_nuclei_oracle(lat))
         checks["wdecomp"] = {"ok": ok}
     if "tower" in wanted:
-        result = tower(lat, k=2)
+        result = tower(lat)
         checks["tower"] = _report_json(result)
     return {
         "model": "lattice",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from . import lattices
 from .errors import LatticeError
 from .lattices import FiniteLattice, birkhoff_lattice
-from .posets import FinitePoset, down_closure, find_isomorphism, inclusion_up_masks, upset_masks
+from .posets import FinitePoset, _memo, down_closure, find_isomorphism, inclusion_up_masks, upset_masks
 
 __all__ = [
     "EsakiaSpaceFin",
@@ -32,10 +32,11 @@ class EsakiaSpaceFin:
 
     ``filters[k]`` is the membership mask (over the source lattice carrier)
     of the prime filter sitting at point k; it is None for spaces built
-    from a bare poset.
+    from a bare poset.  What is derived from the space (phi, its inverse,
+    down-closures, nuclear sets, front opens) is memoised in ``_cache``.
     """
 
-    __slots__ = ("poset", "filters", "source")
+    __slots__ = ("poset", "filters", "source", "_cache")
 
     def __init__(
         self,
@@ -46,6 +47,7 @@ class EsakiaSpaceFin:
         self.poset = poset
         self.filters = filters
         self.source = source
+        self._cache = {}
 
     @property
     def n(self) -> int:
@@ -55,40 +57,32 @@ class EsakiaSpaceFin:
         return f"EsakiaSpaceFin({self.poset.n} points, discrete)"
 
 
+@_memo("dual_space")
 def dual_space(lattice: FiniteLattice) -> EsakiaSpaceFin:
     """Prime filters under inclusion, as a discrete Priestley space."""
-    cached = lattice._cache.get("dual_space")
-    if cached is not None:
-        return cached
     pts = lattices.points(lattice)
     names = [f"x_{lattice.labels[f.generator]}" for f in pts]
     filters = tuple(f.members for f in pts)
-    space = EsakiaSpaceFin(
+    return EsakiaSpaceFin(
         FinitePoset.from_up_masks(names, inclusion_up_masks(filters)),
         filters=filters,
         source=lattice,
     )
-    lattice._cache["dual_space"] = space
-    return space
 
 
+@_memo("phi_table")
 def phi_table(space: EsakiaSpaceFin) -> tuple[int, ...]:
     """phi(a) for every carrier element a of the source lattice."""
     if space.source is None or space.filters is None:
         raise LatticeError("space has no source lattice attached")
-    lattice = space.source
-    cached = lattice._cache.get("phi_table")
-    if cached is None:
-        table = []
-        for a in range(lattice.n):
-            m = 0
-            for k, members in enumerate(space.filters):
-                if members >> a & 1:
-                    m |= 1 << k
-            table.append(m)
-        cached = tuple(table)
-        lattice._cache["phi_table"] = cached
-    return cached
+    table = []
+    for a in range(space.source.n):
+        m = 0
+        for k, members in enumerate(space.filters):
+            if members >> a & 1:
+                m |= 1 << k
+        table.append(m)
+    return tuple(table)
 
 
 def phi(space: EsakiaSpaceFin, a: int) -> int:
@@ -96,15 +90,10 @@ def phi(space: EsakiaSpaceFin, a: int) -> int:
     return phi_table(space)[a]
 
 
+@_memo("phi_inverse")
 def _phi_lookup(space: EsakiaSpaceFin) -> dict[int, int]:
-    """phi(a) -> a for every carrier element a, memoised in the source."""
-    if space.source is None:
-        raise LatticeError("space has no source lattice attached")
-    lookup = space.source._cache.get("phi_inverse")
-    if lookup is None:
-        lookup = {m: a for a, m in enumerate(phi_table(space))}
-        space.source._cache["phi_inverse"] = lookup
-    return lookup
+    """phi(a) -> a for every carrier element a."""
+    return {m: a for a, m in enumerate(phi_table(space))}
 
 
 def phi_inverse(space: EsakiaSpaceFin, mask: int) -> int:

@@ -5,8 +5,9 @@ and beside it the Birkhoff representation on which it computes.  The
 join-irreducibles J under the reversed order form the base poset;
 upset_of[a] is the mask of the join-irreducibles below a, an upset of the
 base, and of_mask inverts that map.  Meet and join are & and | of these
-masks, the bottom and top are the empty and the full mask, and a
-complement is the complement mask when that is an upset.
+masks, the bottom and top are the empty and the full mask, a complement
+is the complement mask when that is an upset, and the pseudo-complement
+a->bot is the complement of the down-closure of a's mask.
 
 Construction checks two conditions in O(n*|J|):
 (a) a <= b iff upset_of[a] is a subset of upset_of[b], so a -> upset_of[a]
@@ -27,7 +28,7 @@ which then names the first missing bound or distributivity witness.
 
 The implication table keeps the sup-based definition, a->b the
 largest x with a*x <= b, solved per row over the fibres of x -> a*x
-(see FiniteLattice.imp); duality.upset_algebra checks every entry
+(see FiniteLattice._imp_table); duality.upset_algebra checks every entry
 against the dual-space formula.
 
 Conventions: the top element does not count as meet-prime and the bottom
@@ -44,7 +45,9 @@ from typing import NoReturn
 from .errors import LatticeError, PosetError
 from .posets import (
     FinitePoset,
+    _memo,
     _upsets,
+    down_closure,
     inclusion_up_masks,
     iter_bits,
     set_label,
@@ -152,7 +155,7 @@ class FiniteLattice:
         self.base = base
         self.upset_of = tuple(upset_of)
         self.of_mask = of_mask
-        self._cache: dict = {}
+        self._cache = {}
 
     # -- basic structure -------------------------------------------------
 
@@ -177,24 +180,18 @@ class FiniteLattice:
         return self.of_mask[self.upset_of[a] | self.upset_of[b]]
 
     @property
+    @_memo("meet_t")
     def meet_t(self) -> list[list[int]]:
         """The n x n meet table, built from the masks on first use."""
-        table = self._cache.get("meet_t")
-        if table is None:
-            of_mask = self.of_mask
-            table = [[of_mask[u & v] for v in self.upset_of] for u in self.upset_of]
-            self._cache["meet_t"] = table
-        return table
+        of_mask = self.of_mask
+        return [[of_mask[u & v] for v in self.upset_of] for u in self.upset_of]
 
     @property
+    @_memo("join_t")
     def join_t(self) -> list[list[int]]:
         """The n x n join table, built from the masks on first use."""
-        table = self._cache.get("join_t")
-        if table is None:
-            of_mask = self.of_mask
-            table = [[of_mask[u | v] for v in self.upset_of] for u in self.upset_of]
-            self._cache["join_t"] = table
-        return table
+        of_mask = self.of_mask
+        return [[of_mask[u | v] for v in self.upset_of] for u in self.upset_of]
 
     def meet_all(self, items: Iterable[int]) -> int:
         mask = self.upset_of[self.top]
@@ -209,45 +206,48 @@ class FiniteLattice:
         return self.of_mask[mask]
 
     def imp(self, a: int, b: int) -> int:
-        """Heyting implication: the largest x with a*x <= b.
+        """Heyting implication: the largest x with a*x <= b."""
+        return self._imp_table()[a][b]
 
-        The table is built row by row from that definition.  In row a the
-        carrier is grouped by the meet a*x, one element mask per value
-        m <= a.  Since a*x <= b iff a*x <= a*b, a->b = a->(a*b), so only
-        the targets k <= a are solved: the x with a*x <= k are the union
-        of the groups of the m <= k, a downset whose generator is a->k.
+    @_memo("imp")
+    def _imp_table(self) -> list[list[int]]:
+        """The implication table, built row by row from its definition.
+
+        In row a the carrier is grouped by the meet a*x, one element mask
+        per value m <= a.  Since a*x <= b iff a*x <= a*b, a->b = a->(a*b),
+        so only the targets k <= a are solved: the x with a*x <= k are the
+        union of the groups of the m <= k, a downset whose generator is a->k.
         """
-        table = self._cache.get("imp")
-        if table is None:
-            poset = self.poset
-            n = self.n
-            down = [poset.down_mask(k) for k in range(n)]
-            below = [list(iter_bits(d)) for d in down]
-            principal = {d: g for g, d in enumerate(down)}
-            meet_t = self.meet_t
-            table = []
-            for i in range(n):
-                meets = meet_t[i]
-                group = [0] * n
-                for x, m in enumerate(meets):
-                    group[m] |= 1 << x
-                solved = {}
-                for k in below[i]:
-                    sat = 0
-                    for m in below[k]:
-                        sat |= group[m]
-                    g = principal.get(sat)
-                    if g is None:
-                        raise LatticeError(  # unreachable
-                            f"no greatest x with {self.labels[i]!r}*x <= {self.labels[k]!r}"
-                        )
-                    solved[k] = g
-                table.append([solved[m] for m in meets])
-            self._cache["imp"] = table
-        return table[a][b]
+        poset = self.poset
+        n = self.n
+        down = [poset.down_mask(k) for k in range(n)]
+        below = [list(iter_bits(d)) for d in down]
+        principal = {d: g for g, d in enumerate(down)}
+        meet_t = self.meet_t
+        table = []
+        for i in range(n):
+            meets = meet_t[i]
+            group = [0] * n
+            for x, m in enumerate(meets):
+                group[m] |= 1 << x
+            solved = {}
+            for k in below[i]:
+                sat = 0
+                for m in below[k]:
+                    sat |= group[m]
+                g = principal.get(sat)
+                if g is None:
+                    raise LatticeError(  # unreachable
+                        f"no greatest x with {self.labels[i]!r}*x <= {self.labels[k]!r}"
+                    )
+                solved[k] = g
+            table.append([solved[m] for m in meets])
+        return table
 
     def neg(self, a: int) -> int:
-        return self.imp(a, self.bot)
+        """The pseudo-complement a->bot, on the masks: the largest upset of
+        the base that misses a's, the complement of its down-closure."""
+        return self.of_mask[self.base.full_mask & ~down_closure(self.base, self.upset_of[a])]
 
     def __repr__(self) -> str:
         return f"FiniteLattice({self.n} elements, bot={self.labels[self.bot]!r}, top={self.labels[self.top]!r})"
@@ -386,11 +386,9 @@ def join_irreducibles(lattice: FiniteLattice) -> int:
     return lattice.poset.subset(lattice.base.elements)
 
 
+@_memo("meet_primes")
 def meet_primes(lattice: FiniteLattice) -> int:
     """Mask of p (top excluded) with a*b <= p implying a <= p or b <= p."""
-    cached = lattice._cache.get("meet_primes")
-    if cached is not None:
-        return cached
     out = 0
     n = lattice.n
     meet_t = lattice.meet_t
@@ -409,7 +407,6 @@ def meet_primes(lattice: FiniteLattice) -> int:
                 break
         if good:
             out |= 1 << p
-    lattice._cache["meet_primes"] = out
     return out
 
 
@@ -456,15 +453,12 @@ def completely_prime_filters(lattice: FiniteLattice) -> list[Filter]:
     ]
 
 
+@_memo("points")
 def points(lattice: FiniteLattice) -> list[Filter]:
     """Prime filters, validated to coincide with the completely prime ones."""
-    cached = lattice._cache.get("points")
-    if cached is not None:
-        return cached
     pf = prime_filters(lattice)
     if pf != completely_prime_filters(lattice):
         raise LatticeError("prime and completely prime filters disagree")
-    lattice._cache["points"] = pf
     return pf
 
 

@@ -15,8 +15,8 @@ which meet and join are & and |.
 * ``to_nuclear_set`` is full & ~OR_a (phi(j(a)) ^ phi(a)): the points
   that no a moves in or out of their filter.
 * ``from_nuclear_set`` reads phi(j(a)) as the complement of the
-  down-closure of mask - phi(a), from down-closures memoised per lattice
-  and filled on demand (``_DownClosures``).
+  down-closure of mask - phi(a), from down-closures memoised on the dual
+  space and filled on demand (``_DownClosures``).
 * ``validate_nucleus`` decides the three axioms by subset tests and by
   ``_preserves_meets``, which asks that the elements sent above each
   join-irreducible form a principal filter (or none).  Only a table
@@ -31,8 +31,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter, index
 
-from .bounds import assembly_bound, oracle_bound, tower_bound
+from .bounds import assembly_bound, oracle_bound
 from .duality import EsakiaSpaceFin, _phi_lookup, dual_space, phi_table
 from .errors import NucleusError, SizeBoundError
 from .lattices import (
@@ -45,6 +46,7 @@ from .lattices import (
 )
 from .posets import (
     FinitePoset,
+    _memo,
     find_isomorphism,
     inclusion_up_masks,
     iter_bits,
@@ -198,10 +200,8 @@ def make_w(lattice: FiniteLattice, a: int) -> Nucleus:
 def nucleus_leq(lattice: FiniteLattice, j: Nucleus, k: Nucleus) -> bool:
     """Is j(a) <= k(a) for every a?  That holds iff each Birkhoff mask of
     j(a) is a subset of k(a)'s, so iff the packed row of j is a subset of
-    k's row; the rows are memoised in ``_cache["nucleus_rows"]``."""
-    rows = lattice._cache.get("nucleus_rows")
-    if rows is None:
-        rows = lattice._cache["nucleus_rows"] = _PackedRows(lattice)
+    k's row; the rows are memoised on the lattice (``_packed_rows``)."""
+    rows = _packed_rows(lattice)
     return not rows[j.values] & ~rows[k.values]
 
 
@@ -223,6 +223,11 @@ class _PackedRows(dict):
         return row
 
 
+@_memo("nucleus_rows")
+def _packed_rows(lattice: FiniteLattice) -> _PackedRows:
+    return _PackedRows(lattice)
+
+
 # -- nuclear subsets of the dual space --------------------------------------
 
 
@@ -235,27 +240,23 @@ def is_nuclear(space: EsakiaSpaceFin, mask: int) -> bool:
     return True
 
 
+@_memo("to_nuclear_set", by=attrgetter("values"))
 def to_nuclear_set(space: EsakiaSpaceFin, j: Nucleus) -> int:
     """Points whose prime filter is its own preimage under the nucleus.
 
     Bit y of phi(j(a)) ^ phi(a) is set iff j(a) and a disagree on the
     filter at y, so the points whose filter equals its preimage are those
-    that no a moves: full & ~OR_a (phi(j(a)) ^ phi(a)).  Memoised in the
-    source lattice's ``_cache["to_nuclear_set"]``, keyed by the full
+    that no a moves: full & ~OR_a (phi(j(a)) ^ phi(a)).  Memoised on the
+    dual space, in its ``_cache["to_nuclear_set"]``, keyed by the full
     value table ``j.values``.
     """
     if space.filters is None or space.source is None:
         raise NucleusError("space has no source lattice attached")
-    memo = space.source._cache.setdefault("to_nuclear_set", {})
-    out = memo.get(j.values)
-    if out is not None:
-        return out
     table = phi_table(space)
     moved = 0
     for v, t in zip(j.values, table):
         moved |= table[v] ^ t
-    out = memo[j.values] = space.poset.full_mask & ~moved
-    return out
+    return space.poset.full_mask & ~moved
 
 
 class _DownClosures(dict):
@@ -273,32 +274,29 @@ class _DownClosures(dict):
         return out
 
 
+@_memo("down_closures")
+def _down_closures(space: EsakiaSpaceFin) -> _DownClosures:
+    return _DownClosures(space.poset._down)
+
+
+@_memo("from_nuclear_set", by=index)
 def from_nuclear_set(space: EsakiaSpaceFin, mask: int) -> Nucleus:
     """The nucleus induced by a nuclear set, through its action on opens:
     phi(j(a)) is the complement of the down-closure of mask - phi(a).
 
-    Memoised in the source lattice's ``_cache["from_nuclear_set"]``, keyed
-    by the mask; the range is checked before the lookup, so only masks of
-    the dual space are ever stored.
+    Memoised on the dual space, in its ``_cache["from_nuclear_set"]``,
+    keyed by the mask; the range is checked before anything is stored, so
+    only masks of the dual space are ever stored.
     """
     space.poset.check_mask(mask)
-    lattice = space.source
-    if lattice is None:
+    if space.source is None:
         raise NucleusError("space has no source lattice attached")
-    memo = lattice._cache.setdefault("from_nuclear_set", {})
-    out = memo.get(mask)
-    if out is not None:
-        return out
-    closures = lattice._cache.get("dual_down_closures")
-    if closures is None:
-        closures = lattice._cache["dual_down_closures"] = _DownClosures(space.poset._down)
+    closures = _down_closures(space)
     # the complement of a down-closure is an upset, and phi is onto the
     # upsets, so every lookup hits
     lookup = _phi_lookup(space)
     full = space.poset.full_mask
-    values = tuple(lookup[full & ~closures[mask & ~t]] for t in phi_table(space))
-    out = memo[mask] = Nucleus(values)
-    return out
+    return Nucleus(tuple(lookup[full & ~closures[mask & ~t]] for t in phi_table(space)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,11 +310,9 @@ class AssemblyFrame:
     nuclei: tuple[Nucleus, ...]
 
 
+@_memo("assembly")
 def assembly_frame(lattice: FiniteLattice) -> AssemblyFrame:
     """Build the assembly of a finite frame from its nuclear subsets."""
-    cached = lattice._cache.get("assembly")
-    if cached is not None:
-        return cached
     space = dual_space(lattice)
     n = space.poset.n
     if n > assembly_bound():
@@ -334,9 +330,7 @@ def assembly_frame(lattice: FiniteLattice) -> AssemblyFrame:
     for k, j in enumerate(nuclei):
         if to_nuclear_set(space, j) != sets[k]:
             raise NucleusError("nuclear set round trip failed")  # unreachable
-    out = AssemblyFrame(lattice, space, asm_lattice, sets, nuclei)
-    lattice._cache["assembly"] = out
-    return out
+    return AssemblyFrame(lattice, space, asm_lattice, sets, nuclei)
 
 
 # -- meets and joins of nuclei ------------------------------------------------
@@ -388,7 +382,7 @@ def nuclei_join(lattice: FiniteLattice, space: EsakiaSpaceFin, js: list[Nucleus]
 # -- the closure-system (NextClosure) oracle -----------------------------------
 
 
-def enumerate_nuclei_oracle(lattice: FiniteLattice, *, bound: int | None = None) -> list[Nucleus]:
+def enumerate_nuclei_oracle(lattice: FiniteLattice) -> list[Nucleus]:
     """Every nucleus, found by NextClosure over candidate fixpoint sets.
 
     A subset S containing the top, closed under binary meet and under
@@ -405,9 +399,9 @@ def enumerate_nuclei_oracle(lattice: FiniteLattice, *, bound: int | None = None)
 
     NextClosure's work grows with its output, and a finite distributive
     lattice with k join-irreducibles has exactly 2^k nuclei, so the bound
-    caps that count as well as the carrier.
+    (``ESAKIA_ORACLE_BOUND``) caps that count as well as the carrier.
     """
-    cap = oracle_bound() if bound is None else bound
+    cap = oracle_bound()
     n = lattice.n
     if n > cap:
         raise SizeBoundError(f"nucleus oracle refused for {n} elements (bound {cap})")
@@ -581,16 +575,13 @@ class TowerResult:
         return [stage.n for stage in self.stages]
 
 
-def tower(lattice: FiniteLattice, k: int = 2) -> TowerResult:
-    """Iterate the assembly k times, embedding each stage by a -> u_a.
+def tower(lattice: FiniteLattice) -> TowerResult:
+    """Iterate the assembly twice, embedding each stage by a -> u_a.
 
-    On a finite frame the first assembly is Boolean, so every later stage
+    On a finite frame the first assembly is Boolean, so the second stage
     repeats its size 2^|dual points|.
     """
-    cap = tower_bound()
-    if k > cap:
-        raise SizeBoundError(f"tower depth {k} exceeds bound {cap}")
-    if k >= 2 and dual_space(lattice).n > 3:
+    if dual_space(lattice).n > 3:
         raise SizeBoundError("tower depth 2 is limited to dual spaces of 3 points")
     stages = [lattice]
     embeddings: list[tuple[int, ...]] = []
@@ -598,7 +589,7 @@ def tower(lattice: FiniteLattice, k: int = 2) -> TowerResult:
     frame_ops = True
     complements = True
     cur = lattice
-    for _ in range(k):
+    for _ in range(2):
         asm = assembly_frame(cur)
         by_set = {m: i for i, m in enumerate(asm.sets)}
         emb = []

@@ -21,12 +21,14 @@ Conventions used by the whole package:
   and ``_extensions`` yields every way to place a new point.  Posets,
   topologies (``spaces.enumerate_topologies``), ``upset_masks`` and
   ``FiniteSpace.from_preorder`` all grow through them.
+* Whatever is derived from a lattice, a dual space or a topological
+  space is memoised in one place, ``_memo``, on the object it describes.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
-from functools import lru_cache
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
+from functools import lru_cache, wraps
 from itertools import chain, islice, permutations
 
 from .bounds import poset_bound
@@ -37,7 +39,6 @@ __all__ = [
     "iter_bits",
     "inclusion_up_masks",
     "set_label",
-    "up_closure",
     "down_closure",
     "maximal_points",
     "image_mask",
@@ -79,6 +80,50 @@ def inclusion_up_masks(family: Sequence[int]) -> list[int]:
             up &= holders[p]
         out.append(up)
     return out
+
+
+def _memo(key: str, by: Callable[[object], Hashable] | None = None):
+    """Memoise a function of an object in that object's ``_cache`` dict.
+
+    ``fn(obj)`` is stored at ``obj._cache[key]``; with ``by``, ``fn(obj, x)``
+    is stored at ``obj._cache[key][by(x)]``.  A call that raises stores
+    no value, so a function that validates its input before it returns is
+    memoised only on valid input.  Nothing is kept outside the object, so
+    a memo lives exactly as long as the object it describes.
+    """
+
+    missing = object()
+
+    def decorate(fn):
+        if by is None:
+
+            def memoised(obj):
+                cache = obj._cache
+                if key in cache:
+                    return cache[key]
+                out = cache[key] = fn(obj)
+                return out
+
+        else:
+
+            def memoised(obj, x):
+                cache = obj._cache
+                if key not in cache:
+                    cache[key] = {}
+                memo = cache[key]
+                k = by(x)
+                # one lookup on a hit, as a tuple does not cache its hash,
+                # and no exception on a miss
+                out = memo.get(k, missing)
+                if out is missing:
+                    out = memo[k] = fn(obj, x)
+                return out
+
+        memoised = wraps(fn)(memoised)
+        memoised.memo_key = key
+        return memoised
+
+    return decorate
 
 
 def _index_of(elements: tuple[str, ...]) -> dict[str, int]:
@@ -278,14 +323,6 @@ class FinitePoset:
 
 
 # -- subset operations ----------------------------------------------------
-
-
-def up_closure(poset: FinitePoset, mask: int) -> int:
-    poset.check_mask(mask)
-    out = 0
-    for i in iter_bits(mask):
-        out |= poset._up[i]
-    return out
 
 
 def down_closure(poset: FinitePoset, mask: int) -> int:

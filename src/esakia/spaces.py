@@ -11,6 +11,7 @@ open_frame relies on that: lattice element i is the i-th open.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .bounds import topology_bound
 from .duality import dual_space, phi_table
@@ -36,7 +37,9 @@ from .nuclei import (
 from .posets import (
     FinitePoset,
     _close,
+    _down_masks,
     _extensions,
+    _memo,
     _opens_with_point,
     _relation_isomorphism,
     _upsets,
@@ -46,7 +49,7 @@ from .posets import (
     preimage_mask,
     set_label,
 )
-from .spatial import _front_opens, _front_opens_cached
+from .spatial import _dual_front_opens, _front_opens
 
 __all__ = [
     "FiniteSpace",
@@ -145,13 +148,10 @@ class FiniteSpace:
 
     # -- topology --
 
+    @_memo("closed")
     def closed_masks(self) -> tuple[int, ...]:
-        got = self._cache.get("closed")
-        if got is None:
-            full = self.full_mask
-            got = tuple(sorted(full & ~u for u in self.opens))
-            self._cache["closed"] = got
-        return got
+        full = self.full_mask
+        return tuple(sorted(full & ~u for u in self.opens))
 
     def interior(self, mask: int) -> int:
         self.check_mask(mask)
@@ -176,15 +176,12 @@ class FiniteSpace:
                 out &= u
         return out
 
+    @_memo("spec")
     def specialization(self) -> tuple[int, ...]:
         """Up-masks of the specialization preorder: x <= y iff x lies in
         the closure of {y}, which here means y belongs to every open
         neighbourhood of x."""
-        got = self._cache.get("spec")
-        if got is None:
-            got = tuple(self.minimal_open(x) for x in range(self.n))
-            self._cache["spec"] = got
-        return got
+        return tuple(self.minimal_open(x) for x in range(self.n))
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.specialization()[x] >> y & 1)
@@ -193,18 +190,15 @@ class FiniteSpace:
         # antisymmetric specialization: no two points share an up-mask
         return len(set(self.specialization())) == self.n
 
+    @_memo("closure_table")
     def _closure_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Per point x: the closure of {x}, and the class of points that
-        share it.  Memoised in ``_cache["closure_table"]``."""
-        got = self._cache.get("closure_table")
-        if got is None:
-            closures = tuple(self.closure(1 << x) for x in range(self.n))
-            classes = tuple(
-                sum(1 << y for y, d in enumerate(closures) if d == c) for c in closures
-            )
-            got = (closures, classes)
-            self._cache["closure_table"] = got
-        return got
+        share it.  Memoised on the space, in its ``_cache["closure_table"]``."""
+        closures = tuple(self.closure(1 << x) for x in range(self.n))
+        classes = tuple(
+            sum(1 << y for y, d in enumerate(closures) if d == c) for c in closures
+        )
+        return closures, classes
 
     def equiv_class(self, x: int) -> int:
         """Points sharing the closure of x."""
@@ -262,16 +256,11 @@ class FiniteSpace:
 # -- the frame of opens -------------------------------------------------------
 
 
+@_memo("open_frame")
 def open_frame(space: FiniteSpace) -> FiniteLattice:
     """Opens under inclusion; lattice element i is space.opens[i]."""
-    got = space._cache.get("open_frame")
-    if got is None:
-        labels = [set_label(space.points, m) for m in space.opens]
-        got = FiniteLattice(
-            FinitePoset.from_up_masks(labels, inclusion_up_masks(space.opens))
-        )
-        space._cache["open_frame"] = got
-    return got
+    labels = [set_label(space.points, m) for m in space.opens]
+    return FiniteLattice(FinitePoset.from_up_masks(labels, inclusion_up_masks(space.opens)))
 
 
 # -- T0-reflection -------------------------------------------------------------
@@ -290,15 +279,13 @@ class QuotientMap:
         return preimage_mask(self.target.check_mask(mask), self.mapping)
 
 
+@_memo("t0_reflection")
 def t0_reflection(space: FiniteSpace) -> tuple[FiniteSpace, QuotientMap]:
     """Collapse points with equal singleton closures.
 
     The quotient map is verified to be a continuous open closed
     surjection whose fibers are the closure classes.
     """
-    got = space._cache.get("t0_reflection")
-    if got is not None:
-        return got
     classes: list[int] = []
     mapping = [0] * space.n
     for x in range(space.n):
@@ -320,9 +307,7 @@ def t0_reflection(space: FiniteSpace) -> tuple[FiniteSpace, QuotientMap]:
     for c in space.closed_masks():
         if rho.image_mask(c) not in closed_t:
             raise SpaceError("quotient map is not closed")  # unreachable
-    got = (target, rho)
-    space._cache["t0_reflection"] = got
-    return got
+    return target, rho
 
 
 # -- soberification ------------------------------------------------------------
@@ -346,6 +331,7 @@ class Soberification:
     matches_t0_reflection: bool
 
 
+@_memo("soberification")
 def soberification(space: FiniteSpace) -> Soberification:
     """The space of completely prime filters of the open frame.
 
@@ -355,9 +341,6 @@ def soberification(space: FiniteSpace) -> Soberification:
     checked to be an isomorphism, and the result is checked homeomorphic
     to the T0-reflection.
     """
-    got = space._cache.get("soberification")
-    if got is not None:
-        return got
     frame = open_frame(space)
     names = [f"y{frame.labels[f.generator]}" for f in points(frame)]
     traces = phi_table(dual_space(frame))
@@ -373,11 +356,7 @@ def soberification(space: FiniteSpace) -> Soberification:
         for k, v in enumerate(space.opens)
     )
     t0_space, _ = t0_reflection(space)
-    got = Soberification(
-        sober, eps, iso, find_homeomorphism(sober, t0_space) is not None
-    )
-    space._cache["soberification"] = got
-    return got
+    return Soberification(sober, eps, iso, find_homeomorphism(sober, t0_space) is not None)
 
 
 def is_sober(space: FiniteSpace) -> bool:
@@ -407,13 +386,10 @@ def is_sober(space: FiniteSpace) -> bool:
 # -- front topology and point classification ------------------------------------
 
 
+@_memo("front")
 def front_topology(space: FiniteSpace) -> FiniteSpace:
     """The topology generated by differences of opens."""
-    got = space._cache.get("front")
-    if got is None:
-        got = FiniteSpace(space.points, _front_opens(space.opens))
-        space._cache["front"] = got
-    return got
+    return FiniteSpace(space.points, _front_opens(space.opens))
 
 
 @dataclass(frozen=True)
@@ -519,17 +495,15 @@ def scatter_report(space: FiniteSpace) -> ScatterReport:
 # -- sigma and delta -------------------------------------------------------------
 
 
+@_memo("sigma", by=attrgetter("values"))
 def sigma(space: FiniteSpace, j: Nucleus) -> int:
     """Union of the growth j(U) minus U over all opens; front-open.
 
     Each distinct value table is validated as a nucleus once per space,
-    and its mask is memoised in the space's cache by the table; a table
-    that fails validation is never stored, so it raises on every call.
+    and its mask is memoised on the space, in its ``_cache["sigma"]``,
+    keyed by ``j.values``; a table that fails validation raises before
+    anything is stored, so it raises on every call.
     """
-    memo = space._cache.setdefault("sigma", {})
-    out = memo.get(j.values)
-    if out is not None:
-        return out
     frame = open_frame(space)
     report = validate_nucleus(frame, j.values)
     if not report.ok:
@@ -539,27 +513,23 @@ def sigma(space: FiniteSpace, j: Nucleus) -> int:
         out |= space.opens[j.values[a]] & ~u
     if out not in set(front_topology(space).opens):
         raise SpaceError("sigma produced a set that is not front-open")  # unreachable
-    memo[j.values] = out
     return out
 
 
+@_memo("eps_dual")
 def _eps_to_dual(space: FiniteSpace) -> tuple[int, ...]:
     """eps: each point to the dual point of the open frame whose filter is
     its neighbourhood filter.  The sober points of ``soberification`` are
     the dual points in the same order, so this is eps there too."""
-    got = space._cache.get("eps_dual")
-    if got is None:
-        dual = dual_space(open_frame(space))
-        at = {fm: k for k, fm in enumerate(dual.filters)}
-        out = []
-        for s in range(space.n):
-            fm = sum(1 << a for a, u in enumerate(space.opens) if u >> s & 1)
-            if fm not in at:
-                raise SpaceError("neighbourhood filter of a point is not prime")  # unreachable
-            out.append(at[fm])
-        got = tuple(out)
-        space._cache["eps_dual"] = got
-    return got
+    dual = dual_space(open_frame(space))
+    at = {fm: k for k, fm in enumerate(dual.filters)}
+    out = []
+    for s in range(space.n):
+        fm = sum(1 << a for a, u in enumerate(space.opens) if u >> s & 1)
+        if fm not in at:
+            raise SpaceError("neighbourhood filter of a point is not prime")  # unreachable
+        out.append(at[fm])
+    return tuple(out)
 
 
 def delta(space: FiniteSpace, nuclear_mask: int) -> int:
@@ -612,7 +582,7 @@ def compactification_check(space: FiniteSpace) -> CompactificationReport:
         eps_prime[rho.mapping[x]] = eps[x]
     injective = len(set(eps_prime)) == t0_space.n
     front_s0 = front_topology(t0_space)
-    dual_fronts = _front_opens_cached(frame, dual)
+    dual_fronts = _dual_front_opens(dual)
     image = image_mask(t0_space.full_mask, eps_prime)
     front_s0_opens = set(front_s0.opens)
     continuous = all(
@@ -704,24 +674,18 @@ def _irreducible_nuclei(nucs: list[Nucleus]) -> tuple[list[int], list[int]]:
     """Indices of the join- and of the meet-irreducibles of N(L) in a list
     of all nuclei, read off the list alone.
 
-    j <= k pointwise iff Fix(k) is a subset of Fix(j), so the order is a
-    subset test on fixpoint bitmasks.  A join-irreducible has exactly one
-    lower cover and a meet-irreducible exactly one upper cover.
+    j <= k pointwise iff Fix(k) is a subset of Fix(j), so the order is
+    the inclusion order of the fixpoint bitmasks, reversed.  A
+    join-irreducible has exactly one lower cover and a meet-irreducible
+    exactly one upper cover.
     """
     fix = [
         sum(1 << a for a, v in enumerate(j.values) if v == a) for j in nucs
     ]
-    below = [0] * len(fix)
-    above = [0] * len(fix)
-    for i, f in enumerate(fix):
-        for k in range(i + 1, len(fix)):
-            g = fix[k]
-            if not f & ~g:  # Fix(i) inside Fix(k): nucs[k] < nucs[i]
-                below[i] |= 1 << k
-                above[k] |= 1 << i
-            elif not g & ~f:
-                below[k] |= 1 << i
-                above[i] |= 1 << k
+    # bit k of up[i]: Fix(i) inside Fix(k), so nucs[k] <= nucs[i]
+    up = inclusion_up_masks(fix)
+    below = [m & ~(1 << i) for i, m in enumerate(up)]
+    above = [m & ~(1 << i) for i, m in enumerate(_down_masks(up))]
     return _single_covers(below), _single_covers(above)
 
 

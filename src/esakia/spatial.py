@@ -29,6 +29,7 @@ from .lattices import (
 from .nuclei import assembly_frame
 from .posets import (
     FinitePoset,
+    _memo,
     inclusion_up_masks,
     iter_bits,
     maximal_points,
@@ -88,20 +89,16 @@ def front_open_masks(poset: FinitePoset) -> tuple[int, ...]:
     return tuple(sorted(_front_opens(upset_masks(poset))))
 
 
-def _front_opens_cached(lattice: FiniteLattice, space: EsakiaSpaceFin) -> tuple[int, ...]:
-    got = lattice._cache.get("front_opens")
-    if got is None:
-        got = front_open_masks(space.poset)
-        lattice._cache["front_opens"] = got
-    return got
+@_memo("front_opens")
+def _dual_front_opens(space: EsakiaSpaceFin) -> tuple[int, ...]:
+    """``front_open_masks`` of a dual space's order, memoised on the space."""
+    return front_open_masks(space.poset)
 
 
+@_memo("nuclear_points")
 def nuclear_points(lattice: FiniteLattice) -> PointSet:
     """Points whose singleton is nuclear, with the trace topology attached
     and checked against the specialization order of the dual space."""
-    cached = lattice._cache.get("nuclear_points")
-    if cached is not None:
-        return cached
     space = dual_space(lattice)
     # every singleton of the discrete dual is nuclear (see is_nuclear)
     sing = space.poset.full_mask
@@ -118,9 +115,7 @@ def nuclear_points(lattice: FiniteLattice) -> PointSet:
                 cl |= 1 << w
         if cl != space.poset.down_mask(y) & sing:
             raise NucleusError("closure of a point is not its downset trace")
-    out = PointSet(space, sing, tau)
-    lattice._cache["nuclear_points"] = out
-    return out
+    return PointSet(space, sing, tau)
 
 
 def gamma(lattice: FiniteLattice, nuclear_mask: int) -> int:
@@ -149,7 +144,7 @@ class GammaReport:
 
 def _front_closed_of_points(lattice: FiniteLattice) -> set[int]:
     pts = nuclear_points(lattice)
-    opens = _front_opens_cached(lattice, pts.space)
+    opens = _dual_front_opens(pts.space)
     return {pts.mask & ~(o & pts.mask) for o in opens}
 
 
@@ -232,7 +227,7 @@ def assembly_spatial_report(lattice: FiniteLattice) -> SpatialReport:
     asm = assembly_frame(lattice)
     pts = nuclear_points(lattice)
     spatial, _ = is_spatial(lattice)
-    fronts = _front_opens_cached(lattice, pts.space)
+    fronts = _dual_front_opens(pts.space)
     dense = all(o == 0 or o & pts.mask for o in fronts)
     meets_pts = all(m == 0 or m & pts.mask for m in asm.sets)
     image = {gamma(lattice, m) for m in asm.sets}

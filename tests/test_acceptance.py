@@ -201,7 +201,7 @@ def test_criterion_09_tower_cardinality(report):
     observed = []
     for p in all_posets(3):
         lat = birkhoff_lattice(p)
-        result = tower(lat, k=2)
+        result = tower(lat)
         structure_ok = structure_ok and result.ok
         sizes = [stage.n for stage in result.stages]
         observed.append((p.n, sizes))

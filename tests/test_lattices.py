@@ -30,7 +30,7 @@ from esakia.posets import FinitePoset, enumerate_posets, iter_bits, maximal_poin
 from esakia.nuclei import assembly_frame
 from esakia.spaces import FiniteSpace, enumerate_topologies, open_frame
 
-from conftest import posets
+from conftest import posets, reference_frames
 
 
 def lat3() -> FiniteLattice:
@@ -548,3 +548,9 @@ def test_is_spatial_names_the_first_unseparated_pair(monkeypatch):
         and not any(f.members >> a & 1 and not f.members >> b & 1 for f in pts[1:])
     )
     assert is_spatial(lat) == (False, scan)
+
+
+def test_negation_on_the_masks_matches_the_implication_table():
+    for _, lat in reference_frames():
+        for a in range(lat.n):
+            assert lat.neg(a) == lat.imp(a, lat.bot)

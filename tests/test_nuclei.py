@@ -198,22 +198,25 @@ def test_every_oracle_nucleus_is_a_nucleus():
             assert validate_nucleus(lat, j.values).ok
 
 
-def test_oracle_reaches_the_sixty_four_element_bound():
+def test_oracle_reaches_the_sixty_four_element_bound(monkeypatch):
     lat = birkhoff_lattice(FinitePoset.antichain(6))
     assert lat.n == 64
     js = enumerate_nuclei_oracle(lat)
     assert len(js) == 64
     assert js[0] == top_nucleus(lat) and js[-1] == identity_nucleus(lat)
+    monkeypatch.setenv("ESAKIA_ORACLE_BOUND", "63")
     with pytest.raises(SizeBoundError, match=r"refused for 64 elements \(bound 63\)"):
-        enumerate_nuclei_oracle(lat, bound=63)
+        enumerate_nuclei_oracle(lat)
 
 
-def test_oracle_bound_caps_the_nucleus_count():
+def test_oracle_bound_caps_the_nucleus_count(monkeypatch):
     # a 7-chain has 7 elements but 6 join-irreducibles, so 64 nuclei
     lat = birkhoff_lattice(FinitePoset.chain(6))
-    assert len(enumerate_nuclei_oracle(lat, bound=64)) == 64
+    monkeypatch.setenv("ESAKIA_ORACLE_BOUND", "64")
+    assert len(enumerate_nuclei_oracle(lat)) == 64
+    monkeypatch.setenv("ESAKIA_ORACLE_BOUND", "63")
     with pytest.raises(SizeBoundError, match=r"6 join-irreducibles give 2\^6 nuclei \(bound 63\)"):
-        enumerate_nuclei_oracle(lat, bound=63)
+        enumerate_nuclei_oracle(lat)
 
 
 def test_closed_open_boundary_nuclei_on_three_chain():
@@ -314,7 +317,7 @@ def test_nuclei_join_cross_check_reads_past_the_memo():
     space = dual_space(lat)
     um, dneg = make_u(lat, lat.index("m")), make_w(lat, lat.bot)
     joined = nuclei_join(lat, space, [um, dneg])
-    memo = lat._cache["from_nuclear_set"]
+    memo = space._cache["from_nuclear_set"]
     memo[to_nuclear_set(space, joined)] = identity_nucleus(lat)
     with pytest.raises(NucleusError, match="disagrees with the iteration oracle"):
         nuclei_join(lat, space, [um, dneg])
@@ -428,7 +431,7 @@ def test_assembly_booleanness_reports():
 
 
 def test_tower_on_three_chain():
-    result = tower(lat3(), k=2)
+    result = tower(lat3())
     assert [stage.n for stage in result.stages] == [3, 4, 4]
     assert result.ok
     assert result.embeddings_injective
@@ -438,9 +441,7 @@ def test_tower_on_three_chain():
 
 def test_tower_bound():
     with pytest.raises(SizeBoundError):
-        tower(lat3(), k=9)
-    with pytest.raises(SizeBoundError):
-        tower(birkhoff_lattice(FinitePoset.antichain(4)), k=2)
+        tower(birkhoff_lattice(FinitePoset.antichain(4)))
 
 
 def test_u_and_v_are_complements_in_the_assembly():

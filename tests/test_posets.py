@@ -22,7 +22,6 @@ from esakia.posets import (
     iter_bits,
     maximal_points,
     preimage_mask,
-    up_closure,
     upset_masks,
 )
 from esakia.spaces import enumerate_topologies
@@ -37,6 +36,15 @@ def minimal_points(poset, mask):
     for i in iter_bits(mask):
         if poset._down[i] & mask == 1 << i:
             out |= 1 << i
+    return out
+
+
+def up_closure(poset, mask):
+    """The literal helper: the union of the up-masks of the members."""
+    poset.check_mask(mask)
+    out = 0
+    for i in iter_bits(mask):
+        out |= poset._up[i]
     return out
 
 
