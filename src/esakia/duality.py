@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from . import lattices
 from .errors import LatticeError
 from .lattices import FiniteLattice, birkhoff_lattice
-from .posets import FinitePoset, _memo, down_closure, find_isomorphism, inclusion_up_masks, upset_masks
+from .posets import FinitePoset, _memo, down_closure, find_isomorphism, upset_masks
 
 __all__ = [
     "EsakiaSpaceFin",
@@ -64,7 +64,7 @@ def dual_space(lattice: FiniteLattice) -> EsakiaSpaceFin:
     names = [f"x_{lattice.labels[f.generator]}" for f in pts]
     filters = tuple(f.members for f in pts)
     return EsakiaSpaceFin(
-        FinitePoset.from_up_masks(names, inclusion_up_masks(filters)),
+        FinitePoset.of_family(names, filters),
         filters=filters,
         source=lattice,
     )

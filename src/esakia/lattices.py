@@ -20,6 +20,13 @@ to Lattices and Order, 2nd ed., 2002, ch. 5) that holds iff the order is
 a distributive lattice.  The n x n tables meet_t and join_t are built
 from the masks on first use.
 
+The lattices derived here and elsewhere (upsets, opens, assemblies,
+booleanizations, fixpoint frames, regular closed sets) reach the
+constructor as inclusion orders on a family of sets, built by
+``FinitePoset.of_family``; (a) and (b) still run on each of them, so
+every lattice is validated on its own route.  JSON lattices enter
+through the pair constructor ``FinitePoset``.
+
 The principal-mask lookup stays as the route that names failures: i*j
 exists iff down(i) & down(j) is the down-mask of some element (joins
 mirror this with up-masks).  ``_bound_tables`` builds both tables that
@@ -351,7 +358,7 @@ def birkhoff_lattice(poset: FinitePoset) -> FiniteLattice:
     """
     masks = upset_masks(poset)
     labels = [set_label(poset.elements, m) for m in masks]
-    return FiniteLattice(FinitePoset.from_up_masks(labels, inclusion_up_masks(masks)))
+    return FiniteLattice(FinitePoset.of_family(labels, masks))
 
 
 def lattice_from_json_dict(data: object) -> FiniteLattice:
@@ -576,9 +583,8 @@ def booleanization(lattice: FiniteLattice) -> Booleanization:
     for a in reg:
         image_mask |= 1 << a
     sub = FiniteLattice(
-        FinitePoset.from_up_masks(
-            [lattice.labels[a] for a in reg],
-            inclusion_up_masks([lattice.poset.down_mask(a) for a in reg]),
+        FinitePoset.of_family(
+            [lattice.labels[a] for a in reg], [lattice.poset.down_mask(a) for a in reg]
         )
     )
     if not is_boolean(sub):

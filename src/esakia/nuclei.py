@@ -48,7 +48,6 @@ from .posets import (
     FinitePoset,
     _memo,
     find_isomorphism,
-    inclusion_up_masks,
     iter_bits,
     set_label,
 )
@@ -323,9 +322,7 @@ def assembly_frame(lattice: FiniteLattice) -> AssemblyFrame:
     # reverse inclusion (a bigger set is a smaller nucleus): the inclusion
     # order of the complements
     full = space.poset.full_mask
-    asm_lattice = FiniteLattice(
-        FinitePoset.from_up_masks(names, inclusion_up_masks([full & ~m for m in sets]))
-    )
+    asm_lattice = FiniteLattice(FinitePoset.of_family(names, [full & ~m for m in sets]))
     nuclei = tuple(from_nuclear_set(space, m) for m in sets)
     for k, j in enumerate(nuclei):
         if to_nuclear_set(space, j) != sets[k]:
@@ -473,9 +470,8 @@ def fixpoint_frame(lattice: FiniteLattice, j: Nucleus) -> FiniteLattice:
     """The frame of fixpoints, with joins corrected through the nucleus."""
     fix = [a for a in range(lattice.n) if j.values[a] == a]
     sub = FiniteLattice(
-        FinitePoset.from_up_masks(
-            [lattice.labels[a] for a in fix],
-            inclusion_up_masks([lattice.poset.down_mask(a) for a in fix]),
+        FinitePoset.of_family(
+            [lattice.labels[a] for a in fix], [lattice.poset.down_mask(a) for a in fix]
         )
     )
     for i, x in enumerate(fix):
@@ -543,7 +539,7 @@ def assembly_booleanization_check(lattice: FiniteLattice) -> BooleanizationCheck
     disc = _discrete_space(asm.dual)
     rc = sorted(regular_closed(disc))
     names = [set_label(asm.dual.poset.elements, m) for m in rc]
-    rc_lattice = FiniteLattice(FinitePoset.from_up_masks(names, inclusion_up_masks(rc)))
+    rc_lattice = FiniteLattice(FinitePoset.of_family(names, rc))
     dual_iso = (
         find_isomorphism(b.lattice.poset, rc_lattice.poset.dual()) is not None
     )

@@ -9,12 +9,17 @@ Conventions used by the whole package:
   ``elements[i]``.  Masks are range-checked where they enter the API.
 * Listings of subsets are always emitted in ascending mask order, which
   is the canonical tie-break everywhere output must be reproducible.
-* Derived orders (dual spaces, assemblies, open frames, upset lattices,
-  sub-orders) enter through ``FinitePoset.from_up_masks``, which checks
-  reflexivity, transitivity and antisymmetry of the masks it is given.
-  Label pairs come only from JSON input, ``chain``/``antichain`` and
-  tests: the pair constructor takes the reflexive transitive closure of
-  any generating relation (cover pairs or more) and hands the masks to
+* Families of sets (prime filters, nuclear sets, opens, upsets, regular
+  elements, regular closed sets) enter through ``FinitePoset.of_family``,
+  which orders them by inclusion.  It checks only that the sets are
+  distinct: inclusion among distinct sets is reflexive, transitive and
+  antisymmetric, so there is nothing else to check.  Up- and down-masks
+  come from one kernel, ``_inclusion_masks``.
+* Masks and pairs enter through ``FinitePoset.from_up_masks``, which
+  checks reflexivity, transitivity and antisymmetry of the masks it is
+  given.  Label pairs come only from JSON input, ``chain``/``antichain``
+  and tests: the pair constructor takes the reflexive transitive closure
+  of any generating relation (cover pairs or more) and hands the masks to
   the same checks.
 * An order is extended by one point in one place: ``_opens_with_point``
   grows the upsets, ``_upsets`` lists those of a preorder point by point,
@@ -62,24 +67,44 @@ def set_label(elements: Sequence[str], mask: int) -> str:
     return "{" + ",".join(elements[i] for i in iter_bits(mask)) + "}"
 
 
-def inclusion_up_masks(family: Sequence[int]) -> list[int]:
-    """Up-masks of a family of distinct subsets ordered by inclusion.
+def _inclusion_masks(family: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Up- and down-masks of a family of distinct subsets ordered by inclusion.
 
-    Bit k of entry i is set iff family[i] <= family[k], i.e. iff family[k]
-    holds every member of family[i]: the meet of the holders of each one.
+    holders[p] is the mask of the indices k with bit p in family[k].  Bit k
+    of up[i] is set iff family[k] holds every member of family[i]: the meet
+    of the holders of the bits inside family[i].  Bit k of down[i] is set
+    iff family[k] holds no bit outside family[i]: the complement of the
+    join of the holders of those bits.
     """
-    every = (1 << len(family)) - 1
-    holders: dict[int, int] = {}
+    holders = [0] * max(family, default=0).bit_length()
     for k, m in enumerate(family):
-        for p in iter_bits(m):
-            holders[p] = holders.get(p, 0) | 1 << k
-    out = []
+        bit = 1 << k
+        while m:
+            low = m & -m
+            holders[low.bit_length() - 1] |= bit
+            m ^= low
+    every = (1 << len(family)) - 1
+    up = []
+    down = []
     for m in family:
-        up = every
-        for p in iter_bits(m):
-            up &= holders[p]
-        out.append(up)
-    return out
+        meet = every
+        join = 0
+        for h in holders:
+            if m & 1:
+                meet &= h
+            else:
+                join |= h
+            m >>= 1
+        up.append(meet)
+        down.append(every & ~join)
+    return up, down
+
+
+def inclusion_up_masks(family: Sequence[int]) -> list[int]:
+    """Up-masks of a family of distinct subsets ordered by inclusion: bit k
+    of entry i is set iff family[i] <= family[k] (see ``_inclusion_masks``).
+    """
+    return _inclusion_masks(family)[0]
 
 
 def _memo(key: str, by: Callable[[object], Hashable] | None = None):
@@ -147,8 +172,11 @@ def _down_masks(up: Sequence[int]) -> list[int]:
     """Down-masks of a relation given by its up-masks."""
     down = [0] * len(up)
     for i, m in enumerate(up):
-        for j in iter_bits(m):
-            down[j] |= 1 << i
+        bit = 1 << i
+        while m:
+            low = m & -m
+            down[low.bit_length() - 1] |= bit
+            m ^= low
     return down
 
 
@@ -182,6 +210,34 @@ class FinitePoset:
         poset._init_order(elements, _index_of(elements), up)
         return poset
 
+    @classmethod
+    def of_family(cls, elements: Sequence[str], family: Sequence[int]) -> "FinitePoset":
+        """The inclusion order: elements[i] <= elements[j] iff family[i] is a
+        subset of family[j].
+
+        One set per element, all distinct, or PosetError; inclusion among
+        distinct sets is a partial order, so the masks are not re-checked.
+        """
+        elements = tuple(elements)
+        if len(family) != len(elements):
+            raise PosetError(f"{len(family)} sets for {len(elements)} elements")
+        index = _index_of(elements)
+        if len(set(family)) != len(family):
+            first: dict[int, int] = {}
+            for j, m in enumerate(family):
+                i = first.setdefault(m, j)
+                if i != j:
+                    raise PosetError(
+                        f"{elements[i]!r} and {elements[j]!r} are the same set"
+                    )
+        up, down = _inclusion_masks(family)
+        poset = cls.__new__(cls)
+        poset.elements = elements
+        poset._index = index
+        poset._up = tuple(up)
+        poset._down = tuple(down)
+        return poset
+
     def _init_order(
         self, elements: tuple[str, ...], index: dict[str, int], up: Sequence[int]
     ) -> None:
@@ -195,7 +251,11 @@ class FinitePoset:
             if m >> n:
                 raise PosetError(f"up-mask of {elements[i]!r} leaves the {n}-element carrier")
         for i, m in enumerate(up):
-            for j in iter_bits(m):
+            rest = m
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                j = low.bit_length() - 1
                 missing = up[j] & ~m
                 if missing:
                     k = (missing & -missing).bit_length() - 1

@@ -37,14 +37,13 @@ from .nuclei import (
 from .posets import (
     FinitePoset,
     _close,
-    _down_masks,
     _extensions,
+    _inclusion_masks,
     _memo,
     _opens_with_point,
     _relation_isomorphism,
     _upsets,
     image_mask,
-    inclusion_up_masks,
     iter_bits,
     preimage_mask,
     set_label,
@@ -260,7 +259,7 @@ class FiniteSpace:
 def open_frame(space: FiniteSpace) -> FiniteLattice:
     """Opens under inclusion; lattice element i is space.opens[i]."""
     labels = [set_label(space.points, m) for m in space.opens]
-    return FiniteLattice(FinitePoset.from_up_masks(labels, inclusion_up_masks(space.opens)))
+    return FiniteLattice(FinitePoset.of_family(labels, space.opens))
 
 
 # -- T0-reflection -------------------------------------------------------------
@@ -683,9 +682,9 @@ def _irreducible_nuclei(nucs: list[Nucleus]) -> tuple[list[int], list[int]]:
         sum(1 << a for a, v in enumerate(j.values) if v == a) for j in nucs
     ]
     # bit k of up[i]: Fix(i) inside Fix(k), so nucs[k] <= nucs[i]
-    up = inclusion_up_masks(fix)
+    up, down = _inclusion_masks(fix)
     below = [m & ~(1 << i) for i, m in enumerate(up)]
-    above = [m & ~(1 << i) for i, m in enumerate(_down_masks(up))]
+    above = [m & ~(1 << i) for i, m in enumerate(down)]
     return _single_covers(below), _single_covers(above)
 
 

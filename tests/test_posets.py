@@ -1,16 +1,21 @@
 import hashlib
 import json
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from esakia.duality import dual_space
 from esakia.errors import PosetError, SizeBoundError
+from esakia.lattices import booleanization
+from esakia.nuclei import assembly_booleanization_check, fixpoint_frame, identity_nucleus
 from esakia.posets import (
     FinitePoset,
     _canonical,
     _down_masks,
     _extensions,
     _heights,
+    _inclusion_masks,
     _invariants,
     _poset_reps,
     _upsets,
@@ -309,9 +314,69 @@ def test_pair_constructor_keeps_its_messages_and_their_order(labels, pairs, mess
 @given(st.sets(st.integers(0, 63), max_size=12))
 def test_inclusion_up_masks_match_the_literal_order(family):
     family = sorted(family)
-    up = inclusion_up_masks(family)
+    up, down = _inclusion_masks(family)
+    assert inclusion_up_masks(family) == up
     for i, u in enumerate(family):
         assert up[i] == sum(1 << k for k, v in enumerate(family) if u & ~v == 0)
+        assert down[i] == sum(1 << k for k, v in enumerate(family) if v & ~u == 0)
+
+
+INCLUSION_SITES = {
+    "birkhoff_lattice",
+    "open_frame",
+    "dual_space",
+    "booleanization",
+    "fixpoint_frame",
+    "assembly_frame",
+    "assembly_booleanization_check",
+}
+
+
+def test_of_family_matches_the_checked_mask_route(monkeypatch):
+    # every family the inclusion-order sites build from the reference
+    # frames: upsets, opens, prime filters, regular elements, the
+    # fixpoints of the identity, assembly complements and regular closed
+    # sets, each through of_family and through from_up_masks, which
+    # re-checks the order
+    of_family = FinitePoset.of_family.__func__
+    built = []
+
+    def recording(cls, elements, family):
+        built.append((sys._getframe(1).f_code.co_name, list(elements), list(family)))
+        return of_family(cls, elements, family)
+
+    monkeypatch.setattr(FinitePoset, "of_family", classmethod(recording))
+    frames = 0
+    for _, lat in reference_frames():
+        dual_space(lat)
+        booleanization(lat)
+        fixpoint_frame(lat, identity_nucleus(lat))
+        assembly_booleanization_check(lat)
+        frames += 1
+    assert frames == 406 + 390
+    assert {site for site, _, _ in built} == INCLUSION_SITES
+    # the Birkhoff lattice or the open frame, then one order per other
+    # site and one for the booleanization of the assembly
+    assert len(built) == 7 * frames
+    for _, labels, family in built:
+        got = of_family(FinitePoset, labels, family)
+        want = FinitePoset.from_up_masks(labels, inclusion_up_masks(family))
+        assert (got.elements, got._up, got._down) == (want.elements, want._up, want._down)
+
+
+@pytest.mark.parametrize(
+    "labels, family, message",
+    [
+        ("ab", [0b11, 0b11], "'a' and 'b' are the same set"),
+        ("abcd", [0b01, 0b10, 0b00, 0b10], "'b' and 'd' are the same set"),
+        ("abc", [0b01, 0b10], "2 sets for 3 elements"),
+        ("aa", [0b01, 0b10], "duplicate element ids"),
+    ],
+)
+def test_of_family_rejects_a_repeated_set_or_a_length_mismatch(labels, family, message):
+    with pytest.raises(PosetError) as exc:
+        FinitePoset.of_family(list(labels), family)
+    assert str(exc.value) == message
 
 
 @given(st.data())

@@ -17,7 +17,7 @@ from esakia.nuclei import (
     to_nuclear_set,
     top_nucleus,
 )
-from esakia.posets import FinitePoset, inclusion_up_masks, iter_bits
+from esakia.posets import FinitePoset, iter_bits
 from esakia.spaces import (
     FiniteSpace,
     classify_point,
@@ -217,7 +217,7 @@ def test_eps_names_a_neighbourhood_filter_missing_from_the_dual(monkeypatch):
     full = dual_space(open_frame(s))
     filters = full.filters[1:]
     short = EsakiaSpaceFin(
-        FinitePoset.from_up_masks(full.poset.elements[1:], inclusion_up_masks(filters)),
+        FinitePoset.of_family(full.poset.elements[1:], filters),
         filters=filters,
         source=full.source,
     )
