@@ -67,15 +67,8 @@ def set_label(elements: Sequence[str], mask: int) -> str:
     return "{" + ",".join(elements[i] for i in iter_bits(mask)) + "}"
 
 
-def _inclusion_masks(family: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Up- and down-masks of a family of distinct subsets ordered by inclusion.
-
-    holders[p] is the mask of the indices k with bit p in family[k].  Bit k
-    of up[i] is set iff family[k] holds every member of family[i]: the meet
-    of the holders of the bits inside family[i].  Bit k of down[i] is set
-    iff family[k] holds no bit outside family[i]: the complement of the
-    join of the holders of those bits.
-    """
+def _holders(family: Sequence[int]) -> list[int]:
+    """holders[p]: the mask of the indices k with bit p in family[k]."""
     holders = [0] * max(family, default=0).bit_length()
     for k, m in enumerate(family):
         bit = 1 << k
@@ -83,6 +76,20 @@ def _inclusion_masks(family: Sequence[int]) -> tuple[list[int], list[int]]:
             low = m & -m
             holders[low.bit_length() - 1] |= bit
             m ^= low
+    return holders
+
+
+def _inclusion_masks(family: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Up- and down-masks of a family of distinct subsets ordered by inclusion.
+
+    Bit k of up[i] is set iff family[k] holds every member of family[i]:
+    the meet of the holders of the bits inside family[i].  Bit k of
+    down[i] is set iff family[k] holds no bit outside family[i]: the
+    complement of the join of the holders of those bits.  As every bit
+    position is inside or outside, one shift loop over the holders serves
+    both halves.
+    """
+    holders = _holders(family)
     every = (1 << len(family)) - 1
     up = []
     down = []
@@ -102,9 +109,20 @@ def _inclusion_masks(family: Sequence[int]) -> tuple[list[int], list[int]]:
 
 def inclusion_up_masks(family: Sequence[int]) -> list[int]:
     """Up-masks of a family of distinct subsets ordered by inclusion: bit k
-    of entry i is set iff family[i] <= family[k] (see ``_inclusion_masks``).
+    of entry i is set iff family[i] <= family[k].  The up half of
+    ``_inclusion_masks``, walking only the bits inside each set.
     """
-    return _inclusion_masks(family)[0]
+    holders = _holders(family)
+    every = (1 << len(family)) - 1
+    up = []
+    for m in family:
+        meet = every
+        while m:
+            low = m & -m
+            meet &= holders[low.bit_length() - 1]
+            m ^= low
+        up.append(meet)
+    return up
 
 
 def _memo(key: str, by: Callable[[object], Hashable] | None = None):

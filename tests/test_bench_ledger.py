@@ -38,8 +38,7 @@ def canned_row():
         for k, (b, a) in enumerate(scales)
     ]
     commits = {"parent": "a" * 40, "change": "b" * 40, "change_dirty": False}
-    better = ledger.end_to_end(ledger.benchmark())
-    return ledger.build_row("poset-sweep", commits, 40.0, [1, 2, 3, 4], pairs, better)
+    return ledger.build_row("poset-sweep", commits, [1, 2, 3, 4], pairs, ledger.benchmark())
 
 
 def shape(value):
@@ -69,10 +68,16 @@ def test_a_row_counts_pairs_won_in_each_metrics_direction():
     assert row["metrics"]["ops_per_s"]["pairs_won"] == 1
 
 
-def test_a_row_needs_two_pairs():
-    pair = (ledger.parse_result(run_stdout(1.0)), ledger.parse_result(run_stdout(1.0)))
-    with pytest.raises(ValueError):
-        ledger.build_row("poset-sweep", {}, 40.0, [1], [pair], {"wall_s": "lower"})
+def test_a_row_takes_its_run_length_from_the_benchmark():
+    assert canned_row()["seconds"] == ledger.benchmark()["run_seconds"]
+
+
+def test_the_ledger_refuses_fewer_than_ten_pairs(capsys):
+    # refused while parsing, before any checkout or run
+    with pytest.raises(SystemExit) as refused:
+        ledger.main(["--parent", "HEAD", "--pairs", "9"])
+    assert refused.value.code == 2
+    assert "--pairs must be at least 10" in capsys.readouterr().err
 
 
 def test_committed_ledger_rows_have_the_builders_schema():

@@ -1,10 +1,11 @@
 """Append before/after benchmark rows to the BENCH ledger.
 
     python3 tools/bench_ledger.py --parent REV [--workload W ...] [--pairs 10]
-                                  [--seed 1] [--seconds 40]
+                                  [--seed 1]
 
-Runs ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
-in alternating pairs: one run on REV, exported with ``git archive`` into a
+Runs ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``,
+with T the ``run_seconds`` of ``BENCHMARK.json``, in at least ten
+alternating pairs: one run on REV, exported with ``git archive`` into a
 temporary directory, and one on the working tree of this checkout (the
 change).  The side that runs first alternates from pair to pair, so a
 drift of the host's speed hits both sides alike, and pair i runs seed
@@ -31,6 +32,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# a gain counts when the change wins nine pairs of ten
+MIN_PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -73,16 +76,13 @@ def summary(values: list[float]) -> dict[str, float]:
 def build_row(
     workload: str,
     commits: dict,
-    seconds: float,
     seeds: list[int],
     pairs: list[tuple[dict, dict]],
-    better: dict[str, str],
+    bench: dict,
 ) -> dict:
     """One ledger row from (parent result, change result) pairs."""
-    if len(pairs) < 2:
-        raise ValueError("a row needs at least two pairs for its quartiles")
     metrics = {}
-    for name, direction in better.items():
+    for name, direction in end_to_end(bench).items():
         before = [p["metrics"][name]["value"] for p, _ in pairs]
         after = [c["metrics"][name]["value"] for _, c in pairs]
         won = sum(
@@ -98,7 +98,7 @@ def build_row(
     return {
         "workload": workload,
         **commits,
-        "seconds": seconds,
+        "seconds": bench["run_seconds"],
         "seeds": seeds,
         "pairs": len(pairs),
         "python": platform.python_version(),
@@ -121,15 +121,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True, help="the commit to compare against")
     parser.add_argument("--workload", action="append",
                         help="repeatable; default: every workload in BENCHMARK.json")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS,
+                        help=f"at least {MIN_PAIRS}; more settle a noisy metric")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=40.0)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
+    if args.pairs < MIN_PAIRS:
+        parser.error(f"--pairs must be at least {MIN_PAIRS}")
     bench = benchmark()
     chosen = args.workload or [w["name"] for w in bench["workloads"]]
-    better = end_to_end(bench)
     commits = {
         "parent": git("rev-parse", args.parent),
         "change": git("rev-parse", "HEAD"),
@@ -146,12 +145,13 @@ def main(argv: list[str] | None = None) -> int:
             pairs = []
             for i, seed in enumerate(seeds):
                 sides = [parent, ROOT] if i % 2 == 0 else [ROOT, parent]
-                got = {side: run_once(side, workload, seed, args.seconds) for side in sides}
+                got = {side: run_once(side, workload, seed, bench["run_seconds"])
+                       for side in sides}
                 pairs.append((got[parent], got[ROOT]))
                 print(f"{workload} pair {i + 1}/{args.pairs}: wall_s "
                       f"{got[parent]['metrics']['wall_s']['value']:.4f} -> "
                       f"{got[ROOT]['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
-            row = build_row(workload, commits, args.seconds, seeds, pairs, better)
+            row = build_row(workload, commits, seeds, pairs, bench)
             append_row(ROOT / f"BENCH_{workload}.json", row)
     return 0
 
