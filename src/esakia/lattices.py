@@ -429,10 +429,13 @@ class Filter:
 
 
 def _principal_completely_prime(lattice: FiniteLattice, g: int) -> bool:
-    rest = lattice.join_all(
-        x for x in range(lattice.n) if not lattice.poset.leq_i(g, x)
-    )
-    return not lattice.poset.leq_i(g, rest)
+    """up(g) is completely prime iff g is not below the join of the
+    elements outside up(g): its Birkhoff mask is not inside their union."""
+    poset, up = lattice.poset, lattice.upset_of
+    rest = 0
+    for x in iter_bits(poset.full_mask & ~poset.up_mask(g)):
+        rest |= up[x]
+    return up[g] & ~rest != 0
 
 
 def prime_filters(lattice: FiniteLattice) -> list[Filter]:

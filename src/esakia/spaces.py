@@ -1,11 +1,18 @@
 """Finite topological spaces with explicit open families.
 
 Points are indexed positions; subsets are bitmasks over those positions.
-The open family is stored literally (every finite topology is determined
-by its specialization preorder, but keeping the family explicit lets
-every operation follow its definition, including on non-T0 spaces).
-Opens are normalized to ascending mask order at construction, and
-open_frame relies on that: lattice element i is the i-th open.
+The open family is the stored data, kept literally and validated at
+construction, including on non-T0 spaces.  Opens are normalized to
+ascending mask order, and open_frame relies on that: lattice element i
+is the i-th open.
+
+Questions about single points read the least open neighbourhood U_x,
+the meet of the opens holding x, instead of scanning the family: a
+finite space is an Alexandrov space (P. Alexandroff, "Diskrete Räume",
+Mat. Sb. 2 (1937) 501-519), so "some open u holding x has u & T inside
+S" holds iff U_x & T lies inside S.  ``FiniteSpace.minimal_open`` is the
+one place that scans the opens for a point, and ``specialization``
+memoises its answers.
 """
 
 from __future__ import annotations
@@ -153,19 +160,21 @@ class FiniteSpace:
         return tuple(sorted(full & ~u for u in self.opens))
 
     def interior(self, mask: int) -> int:
+        """The union of the U_x inside mask."""
         self.check_mask(mask)
         out = 0
-        for u in self.opens:
+        for u in self.specialization():
             if u & ~mask == 0:
                 out |= u
         return out
 
     def closure(self, mask: int) -> int:
+        """The points y whose U_y meets mask."""
         self.check_mask(mask)
-        out = self.full_mask
-        for c in self.closed_masks():
-            if mask & ~c == 0:
-                out &= c
+        out = 0
+        for y, u in enumerate(self.specialization()):
+            if u & mask:
+                out |= 1 << y
         return out
 
     def minimal_open(self, x: int) -> int:
@@ -398,6 +407,30 @@ class PointClassification:
     detached: bool
 
 
+def _classify_points(space: FiniteSpace, t_mask: int) -> tuple[int, int, int]:
+    """The isolated, weakly isolated and detached points of the subset T,
+    as three masks, from one trace U_x & T per point x of T.
+
+    Every open holding x holds U_x, so some T-neighbourhood of x lies
+    inside a set S iff the trace U_x & T does.
+    """
+    up = space.specialization()
+    closures, classes = space._closure_table()
+    isolated = weakly = detached = 0
+    for x in iter_bits(t_mask):
+        bit = 1 << x
+        trace = up[x] & t_mask
+        if trace == bit:
+            isolated |= bit
+        if trace & ~closures[x] == 0:
+            weakly |= bit
+        if trace & ~classes[x] == 0:
+            detached |= bit
+    if (isolated | detached) & ~weakly:
+        raise SpaceError("point classification hierarchy violated")  # unreachable
+    return isolated, weakly, detached
+
+
 def classify_point(space: FiniteSpace, t_mask: int, x: int) -> PointClassification:
     """Classify x inside the subset T: isolated ({x} open in T), weakly
     isolated (some T-neighbourhood inside the closure of x), detached
@@ -405,60 +438,51 @@ def classify_point(space: FiniteSpace, t_mask: int, x: int) -> PointClassificati
     space.check_mask(t_mask)
     if not t_mask >> x & 1:
         raise SpaceError("the point must belong to the subset")
-    bit = 1 << x
-    closures, classes = space._closure_table()
-    cl = closures[x]
-    cls_mask = classes[x]
-    isolated = any(u & t_mask == bit for u in space.opens)
-    weakly = any(u >> x & 1 and (u & t_mask) & ~cl == 0 for u in space.opens)
-    detached = any(u >> x & 1 and (u & t_mask) & ~cls_mask == 0 for u in space.opens)
-    if (isolated and not weakly) or (detached and not weakly):
-        raise SpaceError("point classification hierarchy violated")  # unreachable
-    return PointClassification(isolated, weakly, detached)
+    masks = _classify_points(space, t_mask)
+    return PointClassification(*(bool(m >> x & 1) for m in masks))
 
 
-def _has_with(space: FiniteSpace, t_mask: int, kind: str) -> bool:
-    for x in iter_bits(t_mask):
-        c = classify_point(space, t_mask, x)
-        if getattr(c, kind):
-            return True
-    return False
+# positions of the masks returned by _classify_points
+_ISOLATED, _WEAKLY, _DETACHED = range(3)
+
+
+def _has_with(space: FiniteSpace, t_mask: int, kind: int) -> bool:
+    return _classify_points(space, t_mask)[kind] != 0
 
 
 def is_scattered(space: FiniteSpace) -> bool:
     """Every nonempty closed subspace has an isolated point."""
     return all(
-        f == 0 or _has_with(space, f, "isolated") for f in space.closed_masks()
+        f == 0 or _has_with(space, f, _ISOLATED) for f in space.closed_masks()
     )
 
 
 def is_scattered_all_subsets(space: FiniteSpace) -> bool:
     """The all-subspaces form of scatteredness, for cross-checking."""
     return all(
-        t == 0 or _has_with(space, t, "isolated")
+        t == 0 or _has_with(space, t, _ISOLATED)
         for t in range(1 << space.n)
     )
 
 
 def is_weakly_scattered(space: FiniteSpace) -> bool:
     return all(
-        f == 0 or _has_with(space, f, "weakly_isolated")
-        for f in space.closed_masks()
+        f == 0 or _has_with(space, f, _WEAKLY) for f in space.closed_masks()
     )
 
 
 def is_dispersed(space: FiniteSpace) -> bool:
     return all(
-        f == 0 or _has_with(space, f, "detached") for f in space.closed_masks()
+        f == 0 or _has_with(space, f, _DETACHED) for f in space.closed_masks()
     )
 
 
 def is_t_d(space: FiniteSpace) -> bool:
-    """Every singleton is the intersection of an open and a closed set."""
-    closed = space.closed_masks()
+    """Every singleton is the intersection of an open and a closed set:
+    the smallest candidates are U_x and the closure of x."""
+    closures = space._closure_table()[0]
     return all(
-        any(u & c == 1 << x for u in space.opens for c in closed)
-        for x in range(space.n)
+        u & closures[x] == 1 << x for x, u in enumerate(space.specialization())
     )
 
 

@@ -30,7 +30,6 @@ from .nuclei import assembly_frame
 from .posets import (
     FinitePoset,
     _memo,
-    inclusion_up_masks,
     iter_bits,
     maximal_points,
     upset_masks,
@@ -232,13 +231,7 @@ def assembly_spatial_report(lattice: FiniteLattice) -> SpatialReport:
     meets_pts = all(m == 0 or m & pts.mask for m in asm.sets)
     image = {gamma(lattice, m) for m in asm.sets}
     injective = len(image) == len(asm.sets)
-    front_closed = _front_closed_of_points(lattice)
-    order_faithful = all(
-        (a & b == a) == (a & pts.mask & b == a & pts.mask)
-        for a in asm.sets
-        for b in asm.sets
-    )
-    iso = injective and image == front_closed and order_faithful
+    iso = injective and image == _front_closed_of_points(lattice)
     asm_spatial, _ = is_spatial(asm.lattice)
     return SpatialReport(spatial, dense, meets_pts, injective, iso, asm_spatial)
 
@@ -270,11 +263,12 @@ def join_primes_of_assembly(lattice: FiniteLattice) -> JoinPrimeReport:
     m - a, so m is prime iff, for each such a, every set holding m - a
     holds m.  held[x] is the mask (over indices of sets) of the sets
     holding x; every subset of the discrete dual is a nuclear set (see
-    ``nuclei.is_nuclear``), so m - a is one of them.
+    ``nuclei.is_nuclear``), so m - a is one of them.  The assembly orders
+    the sets by reverse inclusion, so held[x] is the down-mask of x there.
     """
     asm = assembly_frame(lattice)
     sets = asm.sets
-    held = dict(zip(sets, inclusion_up_masks(sets)))
+    held = dict(zip(sets, asm.lattice.poset._down))
     jp = [
         m
         for m in sets

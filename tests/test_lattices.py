@@ -245,6 +245,21 @@ def test_prime_filters_equal_completely_prime_filters():
         assert prime_filters(lat) == completely_prime_filters(lat)
 
 
+def literal_principal_completely_prime(lat: FiniteLattice, g: int) -> bool:
+    """g is not below the join of every element not above it, joined one
+    element at a time."""
+    rest = lat.join_all(x for x in range(lat.n) if not lat.poset.leq_i(g, x))
+    return not lat.poset.leq_i(g, rest)
+
+
+def test_completely_prime_test_matches_the_join_route():
+    for _, lat in reference_frames():
+        for g in range(lat.n):
+            assert lattices._principal_completely_prime(
+                lat, g
+            ) == literal_principal_completely_prime(lat, g)
+
+
 def test_join_irreducibles_and_meet_primes_on_diamond():
     lat = diamond()
     atoms = {a for a in range(lat.n) if a not in (lat.bot, lat.top)}

@@ -20,6 +20,7 @@ from esakia.nuclei import (
 from esakia.posets import FinitePoset, iter_bits
 from esakia.spaces import (
     FiniteSpace,
+    PointClassification,
     classify_point,
     compactification_check,
     delta,
@@ -115,6 +116,79 @@ def test_closure_table_matches_the_literal_scans():
             assert all(s.equiv_class(x) == 0 for x in range(s.n))
             fresh = FiniteSpace(s.points, s.opens)
             assert tuple(fresh.equiv_class(x) for x in range(s.n)) == classes
+
+
+def literal_closure(space, mask):
+    """The meet of the closed sets that hold mask."""
+    out = space.full_mask
+    for c in space.closed_masks():
+        if mask & ~c == 0:
+            out &= c
+    return out
+
+
+def literal_interior(space, mask):
+    """The union of the opens inside mask."""
+    out = 0
+    for u in space.opens:
+        if u & ~mask == 0:
+            out |= u
+    return out
+
+
+def literal_classification(space, t_mask, x):
+    """Three scans of the open family, one per kind of point."""
+    bit = 1 << x
+    cl = literal_point_closure(space, x)
+    cls_mask = sum(
+        1 << y for y in range(space.n) if literal_point_closure(space, y) == cl
+    )
+    return PointClassification(
+        any(u & t_mask == bit for u in space.opens),
+        any(u >> x & 1 and (u & t_mask) & ~cl == 0 for u in space.opens),
+        any(u >> x & 1 and (u & t_mask) & ~cls_mask == 0 for u in space.opens),
+    )
+
+
+def literal_t_d(space):
+    """Some open and some closed set meet in exactly {x}, for every x."""
+    closed = space.closed_masks()
+    return all(
+        any(u & c == 1 << x for u in space.opens for c in closed)
+        for x in range(space.n)
+    )
+
+
+def kernel_spaces():
+    """Every labelled space on at most 4 points, then the discrete and the
+    indiscrete space on 6."""
+    for n in range(5):
+        yield from enumerate_topologies(n)
+    six = [str(i) for i in range(6)]
+    yield FiniteSpace(six, range(1 << 6))
+    yield indiscrete(six)
+
+
+def literal_every_closed_set_has(space, kind):
+    """Every nonempty closed set holds a point of the kind, by the scans."""
+    return all(
+        any(getattr(literal_classification(space, f, x), kind) for x in iter_bits(f))
+        for f in space.closed_masks()
+        if f
+    )
+
+
+def test_point_kernel_matches_the_literal_scans():
+    for s in kernel_spaces():
+        assert is_t_d(s) == literal_t_d(s)
+        for t in range(1 << s.n):
+            assert s.interior(t) == literal_interior(s, t)
+            assert s.closure(t) == literal_closure(s, t)
+            for x in iter_bits(t):
+                assert classify_point(s, t, x) == literal_classification(s, t, x)
+        assert is_scattered(s) == literal_every_closed_set_has(s, "isolated")
+        assert is_weakly_scattered(s) == literal_every_closed_set_has(s, "weakly_isolated")
+        assert is_dispersed(s) == literal_every_closed_set_has(s, "detached")
 
 
 def test_point_classification_closes_each_point_once(monkeypatch):

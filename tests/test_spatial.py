@@ -13,7 +13,12 @@ from esakia.lattices import (
     points,
 )
 from esakia.nuclei import assembly_frame, make_u, to_nuclear_set
-from esakia.posets import FinitePoset, enumerate_posets, iter_bits
+from esakia.posets import (
+    FinitePoset,
+    enumerate_posets,
+    inclusion_up_masks,
+    iter_bits,
+)
 from esakia.spatial import (
     assembly_spatial_report,
     essential_primes_dual,
@@ -134,6 +139,13 @@ def test_join_primes_match_the_pair_scan():
     for _, lat in reference_frames():
         sets = assembly_frame(lat).sets
         assert join_primes_of_assembly(lat).join_primes == tuple(scan_join_primes(sets))
+
+
+def test_assembly_down_masks_are_the_sets_holding_each_set():
+    # join_primes_of_assembly reads held from the assembly's order
+    for _, lat in reference_frames():
+        asm = assembly_frame(lat)
+        assert asm.lattice.poset._down == tuple(inclusion_up_masks(asm.sets))
 
 
 def meet_primes_via_dual(lat) -> set[int]:
