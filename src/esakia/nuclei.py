@@ -607,7 +607,7 @@ def tower(lattice: FiniteLattice) -> TowerResult:
                 frame_ops = False
                 break
         for a in range(cur.n):
-            ui = by_set[to_nuclear_set(asm.dual, make_u(cur, a))]
+            ui = emb[a]
             vi = by_set[to_nuclear_set(asm.dual, make_v(cur, a))]
             if (
                 asm.lattice.meet(ui, vi) != asm.lattice.bot

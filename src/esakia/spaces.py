@@ -12,7 +12,9 @@ finite space is an Alexandrov space (P. Alexandroff, "Diskrete Räume",
 Mat. Sb. 2 (1937) 501-519), so "some open u holding x has u & T inside
 S" holds iff U_x & T lies inside S.  ``FiniteSpace.minimal_open`` is the
 one place that scans the opens for a point, and ``specialization``
-memoises its answers.
+memoises its answers.  U_x & cl(x) = class(x), the points sharing the
+closure of x, so on a finite space detached points are the weakly
+isolated ones and dispersed spaces the weakly scattered ones.
 """
 
 from __future__ import annotations
@@ -407,16 +409,19 @@ class PointClassification:
     detached: bool
 
 
-def _classify_points(space: FiniteSpace, t_mask: int) -> tuple[int, int, int]:
-    """The isolated, weakly isolated and detached points of the subset T,
-    as three masks, from one trace U_x & T per point x of T.
+def _classify_points(space: FiniteSpace, t_mask: int) -> tuple[int, int]:
+    """The isolated and the weakly isolated points of the subset T, as
+    two masks, from one trace U_x & T per point x of T.
 
     Every open holding x holds U_x, so some T-neighbourhood of x lies
-    inside a set S iff the trace U_x & T does.
+    inside a set S iff the trace U_x & T does.  U_x & cl(x) is the
+    closure class of x (y in U_x means x <= y, y in cl(x) means y <= x),
+    so a trace inside cl(x) lies inside class(x): the detached points of
+    T are its weakly isolated points.
     """
     up = space.specialization()
-    closures, classes = space._closure_table()
-    isolated = weakly = detached = 0
+    closures = space._closure_table()[0]
+    isolated = weakly = 0
     for x in iter_bits(t_mask):
         bit = 1 << x
         trace = up[x] & t_mask
@@ -424,11 +429,7 @@ def _classify_points(space: FiniteSpace, t_mask: int) -> tuple[int, int, int]:
             isolated |= bit
         if trace & ~closures[x] == 0:
             weakly |= bit
-        if trace & ~classes[x] == 0:
-            detached |= bit
-    if (isolated | detached) & ~weakly:
-        raise SpaceError("point classification hierarchy violated")  # unreachable
-    return isolated, weakly, detached
+    return isolated, weakly
 
 
 def classify_point(space: FiniteSpace, t_mask: int, x: int) -> PointClassification:
@@ -438,43 +439,39 @@ def classify_point(space: FiniteSpace, t_mask: int, x: int) -> PointClassificati
     space.check_mask(t_mask)
     if not t_mask >> x & 1:
         raise SpaceError("the point must belong to the subset")
-    masks = _classify_points(space, t_mask)
-    return PointClassification(*(bool(m >> x & 1) for m in masks))
+    isolated, weakly = (bool(m >> x & 1) for m in _classify_points(space, t_mask))
+    return PointClassification(isolated, weakly, weakly)
 
 
-# positions of the masks returned by _classify_points
-_ISOLATED, _WEAKLY, _DETACHED = range(3)
-
-
-def _has_with(space: FiniteSpace, t_mask: int, kind: int) -> bool:
-    return _classify_points(space, t_mask)[kind] != 0
+def _scatter_flags(space: FiniteSpace) -> tuple[bool, bool]:
+    """Whether every nonempty closed set has an isolated point, and
+    whether every one has a weakly isolated point, in one walk."""
+    masks = [_classify_points(space, f) for f in space.closed_masks() if f]
+    return all(i for i, _ in masks), all(w for _, w in masks)
 
 
 def is_scattered(space: FiniteSpace) -> bool:
     """Every nonempty closed subspace has an isolated point."""
-    return all(
-        f == 0 or _has_with(space, f, _ISOLATED) for f in space.closed_masks()
-    )
+    return _scatter_flags(space)[0]
 
 
 def is_scattered_all_subsets(space: FiniteSpace) -> bool:
     """The all-subspaces form of scatteredness, for cross-checking."""
     return all(
-        t == 0 or _has_with(space, t, _ISOLATED)
-        for t in range(1 << space.n)
+        t == 0 or _classify_points(space, t)[0] for t in range(1 << space.n)
     )
 
 
 def is_weakly_scattered(space: FiniteSpace) -> bool:
-    return all(
-        f == 0 or _has_with(space, f, _WEAKLY) for f in space.closed_masks()
-    )
+    """Every nonempty closed subspace has a weakly isolated point."""
+    return _scatter_flags(space)[1]
 
 
 def is_dispersed(space: FiniteSpace) -> bool:
-    return all(
-        f == 0 or _has_with(space, f, _DETACHED) for f in space.closed_masks()
-    )
+    """Every nonempty closed subspace has a detached point.  Detached
+    points are the weakly isolated ones on a finite space (see
+    ``_classify_points``), so this is weak scatteredness."""
+    return _scatter_flags(space)[1]
 
 
 def is_t_d(space: FiniteSpace) -> bool:
@@ -498,19 +495,16 @@ class ScatterReport:
 def scatter_report(space: FiniteSpace) -> ScatterReport:
     """The scatteredness hierarchy, with its exchange laws re-verified
     against the T0-reflection."""
+    scattered, weakly_scattered = _scatter_flags(space)
     rep = ScatterReport(
-        is_scattered(space),
-        is_weakly_scattered(space),
-        is_dispersed(space),
-        is_t_d(space),
-        space.is_t0(),
+        scattered, weakly_scattered, weakly_scattered, is_t_d(space), space.is_t0()
     )
     if rep.scattered != (rep.weakly_scattered and rep.t_d):
         raise SpaceError("scattered disagrees with weakly scattered + T_D")
-    t0_space, _ = t0_reflection(space)
-    if rep.dispersed != is_scattered(t0_space):
+    t0_scattered, t0_weakly_scattered = _scatter_flags(t0_reflection(space)[0])
+    if rep.dispersed != t0_scattered:
         raise SpaceError("dispersed disagrees with scatteredness of the reflection")
-    if rep.weakly_scattered != is_weakly_scattered(t0_space):
+    if rep.weakly_scattered != t0_weakly_scattered:
         raise SpaceError("weak scatteredness does not survive the reflection")
     return rep
 
@@ -770,14 +764,13 @@ def simmons_isbell_report(space: FiniteSpace) -> SimmonsIsbellReport:
     )
     hits = all(m == 0 or deltas[m] != 0 for m in asm.sets)
     identity = all(
-        sigma(space, j) == space.full_mask & ~deltas[to_nuclear_set(dual, j)]
-        for j in nucs
+        sig == space.full_mask & ~deltas[to_nuclear_set(dual, j)]
+        for sig, j in zip(sigmas, nucs)
     )
     asm_spatial, _ = is_spatial(asm.lattice)
-    sober = soberification(space)
-    sober_ws = is_weakly_scattered(sober.space)
+    weakly_scattered = _scatter_flags(space)[1]
     return SimmonsIsbellReport(
-        weakly_scattered=is_weakly_scattered(space),
+        weakly_scattered=weakly_scattered,
         sigma_injective=sig_inj,
         sigma_onto_front_opens=sig_onto,
         sigma_frame_hom=hom,
@@ -787,9 +780,9 @@ def simmons_isbell_report(space: FiniteSpace) -> SimmonsIsbellReport:
         nonempty_nuclear_hits_space=hits,
         sigma_delta_identity=identity,
         assembly_spatial=asm_spatial,
-        sober_weakly_scattered=sober_ws,
+        sober_weakly_scattered=_scatter_flags(soberification(space).space)[1],
         assembly_boolean=is_boolean(asm.lattice),
-        dispersed=is_dispersed(space),
+        dispersed=weakly_scattered,
         frame_scattered=is_scattered_frame(frame),
     )
 

@@ -163,7 +163,6 @@ def gamma_report(lattice: FiniteLattice) -> GammaReport:
         for a in sets
         for b in sets
     )
-    by_set = {m: i for i, m in enumerate(sets)}
     count = len(sets)
     families: list[list[int]]
     if count <= 16:

@@ -131,11 +131,11 @@ def _topo_sober(space) -> bool:
 
 
 def _topo_scatter(space) -> bool:
-    from .spaces import is_scattered, is_scattered_all_subsets, scatter_report
+    from .spaces import is_scattered_all_subsets, scatter_report
 
     report = scatter_report(space)  # raises on any broken exchange law
     return (
-        is_scattered(space) == is_scattered_all_subsets(space)
+        report.scattered == is_scattered_all_subsets(space)
         and report.scattered == report.t0
     )
 

@@ -208,6 +208,28 @@ def test_point_classification_closes_each_point_once(monkeypatch):
         assert sorted(m for i, m in calls if i == id(s)) == [1 << x for x in range(s.n)]
 
 
+def test_reports_classify_each_closed_set_once(monkeypatch):
+    calls = []
+    kernel = spaces._classify_points
+
+    def counting_kernel(space, t_mask):
+        calls.append((id(space), t_mask))
+        return kernel(space, t_mask)
+
+    def nonempty_closed(*walked):
+        return sorted((id(w), f) for w in walked for f in w.closed_masks() if f)
+
+    monkeypatch.setattr(spaces, "_classify_points", counting_kernel)
+    for n in range(5):
+        for s in enumerate_topologies(n):
+            calls.clear()
+            scatter_report(s)
+            assert sorted(calls) == nonempty_closed(s, t0_reflection(s)[0])
+            calls.clear()
+            simmons_isbell_report(s)
+            assert sorted(calls) == nonempty_closed(s, soberification(s).space)
+
+
 def test_from_preorder_round_trips_the_specialization():
     s = FiniteSpace.from_preorder(["a", "b", "c"], [("a", "b"), ("b", "c")])
     up = s.specialization()
