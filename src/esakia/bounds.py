@@ -19,7 +19,7 @@ _DEFAULTS = {
     "ESAKIA_ORACLE_BOUND": 64,
     # largest n for enumerate_topologies(n): the 6,942 topologies on 5
     # points are enumerated in about 0.05 s, and a sweep over them takes
-    # about 12 s for simmons, 1.6 s for sober and 0.75 s for scatter
+    # about 12 s for simmons, 1.6 s for sober and 0.63 s for scatter
     # (2-vCPU AMD EPYC, Python 3.11); n = 6 has 209,527 topologies
     "ESAKIA_TOPOLOGY_BOUND": 5,
     # largest dual-space size for building the assembly as a lattice
