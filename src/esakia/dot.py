@@ -9,7 +9,7 @@ from __future__ import annotations
 from .duality import dual_space, phi_table
 from .lattices import FiniteLattice
 from .nuclei import assembly_frame
-from .posets import FinitePoset, iter_bits
+from .posets import FinitePoset, _cover_masks, iter_bits
 
 __all__ = ["poset_dot", "lattice_dot", "dual_space_dot", "assembly_dot", "space_dot"]
 
@@ -76,13 +76,11 @@ def space_dot(space, *, name: str = "space") -> str:
     for i, k in equiv:
         strict[i] &= ~(1 << k)
         strict[k] &= ~(1 << i)
-    edges = []
-    for i in range(n):
-        for k in iter_bits(strict[i]):
-            between = strict[i] & ~(1 << k)
-            if any(strict[j] >> k & 1 for j in iter_bits(between)):
-                continue  # not a cover
-            edges.append(f"{_quote(space.points[i])} -> {_quote(space.points[k])};")
+    edges = [
+        f"{_quote(space.points[i])} -> {_quote(space.points[k])};"
+        for i, covers in enumerate(_cover_masks(strict))
+        for k in iter_bits(covers)
+    ]
     for i, k in equiv:
         edges.append(
             f"{_quote(space.points[i])} -> {_quote(space.points[k])} [dir=none, style=dashed];"

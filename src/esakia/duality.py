@@ -12,7 +12,14 @@ from dataclasses import dataclass, field
 from . import lattices
 from .errors import LatticeError
 from .lattices import FiniteLattice, birkhoff_lattice
-from .posets import FinitePoset, _memo, down_closure, find_isomorphism, upset_masks
+from .posets import (
+    FinitePoset,
+    _memo,
+    _transpose,
+    down_closure,
+    find_isomorphism,
+    upset_masks,
+)
 
 __all__ = [
     "EsakiaSpaceFin",
@@ -72,17 +79,12 @@ def dual_space(lattice: FiniteLattice) -> EsakiaSpaceFin:
 
 @_memo("phi_table")
 def phi_table(space: EsakiaSpaceFin) -> tuple[int, ...]:
-    """phi(a) for every carrier element a of the source lattice."""
+    """phi(a) for every carrier element a of the source lattice: the
+    ``_transpose`` of the filters, as a is in phi(a) at point k iff a is
+    in filters[k]."""
     if space.source is None or space.filters is None:
         raise LatticeError("space has no source lattice attached")
-    table = []
-    for a in range(space.source.n):
-        m = 0
-        for k, members in enumerate(space.filters):
-            if members >> a & 1:
-                m |= 1 << k
-        table.append(m)
-    return tuple(table)
+    return tuple(_transpose(space.filters, space.source.n))
 
 
 def phi(space: EsakiaSpaceFin, a: int) -> int:
@@ -182,11 +184,7 @@ def unit_counit_check(lattice: FiniteLattice) -> DualityReport:
     counit_ok = double.n == space.n
     if counit_ok:
         image = []
-        for x in range(space.n):
-            want = 0
-            for k, m in enumerate(masks):
-                if m >> x & 1:
-                    want |= 1 << k
+        for want in _transpose(masks, space.n):
             hits = [k for k, members in enumerate(double.filters) if members == want]
             if len(hits) != 1:
                 counit_ok = False

@@ -53,6 +53,8 @@ from .errors import LatticeError, PosetError
 from .posets import (
     FinitePoset,
     _memo,
+    _read_order_json,
+    _transpose,
     _upsets,
     down_closure,
     inclusion_up_masks,
@@ -138,10 +140,7 @@ class FiniteLattice:
         irr = [a for a in range(n) if poset.down_mask(a) & ~(1 << a) in principal]
 
         # upset_of[a]: bit k set iff irr[k] <= a
-        upset_of = [0] * n
-        for k, x in enumerate(irr):
-            for a in iter_bits(poset.up_mask(x)):
-                upset_of[a] |= 1 << k
+        upset_of = _transpose([poset.up_mask(x) for x in irr], n)
         # the base orders irr reversed: x's up-mask is the irr below it
         base = FinitePoset.from_up_masks(
             [poset.elements[a] for a in irr], [upset_of[a] for a in irr]
@@ -260,7 +259,7 @@ class FiniteLattice:
         return f"FiniteLattice({self.n} elements, bot={self.labels[self.bot]!r}, top={self.labels[self.top]!r})"
 
     def to_json_dict(self) -> dict:
-        return {"elements": list(self.labels), "leq": [list(p) for p in self.poset.covers()]}
+        return self.poset.to_json_dict()
 
 
 def _raise_not_a_distributive_lattice(poset: FinitePoset) -> NoReturn:
@@ -362,20 +361,7 @@ def birkhoff_lattice(poset: FinitePoset) -> FiniteLattice:
 
 
 def lattice_from_json_dict(data: object) -> FiniteLattice:
-    if not isinstance(data, dict):
-        raise LatticeError("lattice JSON must be an object")
-    elements = data.get("elements")
-    leq = data.get("leq", [])
-    if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
-        raise LatticeError('lattice JSON needs an "elements" list of strings')
-    if not isinstance(leq, list):
-        raise LatticeError('lattice "leq" must be a list of pairs')
-    pairs = []
-    for item in leq:
-        if not (isinstance(item, list) and len(item) == 2
-                and all(isinstance(x, str) for x in item)):
-            raise LatticeError(f"bad leq pair {item!r}")
-        pairs.append((item[0], item[1]))
+    elements, pairs = _read_order_json(data, "lattice", LatticeError)
     try:
         return FiniteLattice(FinitePoset(elements, pairs))
     except (PosetError, LatticeError):

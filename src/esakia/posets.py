@@ -15,6 +15,12 @@ Conventions used by the whole package:
   distinct: inclusion among distinct sets is reflexive, transitive and
   antisymmetric, so there is nothing else to check.  Up- and down-masks
   come from one kernel, ``_inclusion_masks``.
+* The converse of a relation given by rows is ``_transpose``, and the
+  Hasse covers of a strict relation are ``_cover_masks``.  Down-masks,
+  the holders of a family, phi, the neighbourhood filters of a space and
+  the Birkhoff masks of a lattice are all transposes; ``covers``, the
+  solid edges of ``space_dot`` and the irreducibles of N(L) are all
+  cover masks.
 * Masks and pairs enter through ``FinitePoset.from_up_masks``, which
   checks reflexivity, transitivity and antisymmetry of the masks it is
   given.  Label pairs come only from JSON input, ``chain``/``antichain``
@@ -67,29 +73,46 @@ def set_label(elements: Sequence[str], mask: int) -> str:
     return "{" + ",".join(elements[i] for i in iter_bits(mask)) + "}"
 
 
-def _holders(family: Sequence[int]) -> list[int]:
-    """holders[p]: the mask of the indices k with bit p in family[k]."""
-    holders = [0] * max(family, default=0).bit_length()
-    for k, m in enumerate(family):
-        bit = 1 << k
+def _transpose(rows: Sequence[int], width: int) -> list[int]:
+    """The converse of a relation given by rows: bit i of out[p] is set iff
+    bit p of rows[i] is set, for p below width.  Walks only the set bits."""
+    out = [0] * width
+    for i, m in enumerate(rows):
+        bit = 1 << i
         while m:
             low = m & -m
-            holders[low.bit_length() - 1] |= bit
+            out[low.bit_length() - 1] |= bit
             m ^= low
-    return holders
+    return out
+
+
+def _cover_masks(strict: Sequence[int]) -> list[int]:
+    """Hasse covers of a strict relation given by rows: entry i holds the
+    members of strict[i] that lie in no strict[k] with k in strict[i]."""
+    out = []
+    for m in strict:
+        inner = 0
+        rest = m
+        while rest:
+            low = rest & -rest
+            inner |= strict[low.bit_length() - 1]
+            rest ^= low
+        out.append(m & ~inner)
+    return out
 
 
 def _inclusion_masks(family: Sequence[int]) -> tuple[list[int], list[int]]:
     """Up- and down-masks of a family of distinct subsets ordered by inclusion.
 
-    Bit k of up[i] is set iff family[k] holds every member of family[i]:
-    the meet of the holders of the bits inside family[i].  Bit k of
-    down[i] is set iff family[k] holds no bit outside family[i]: the
-    complement of the join of the holders of those bits.  As every bit
-    position is inside or outside, one shift loop over the holders serves
-    both halves.
+    The holders of bit p, the indices k with p in family[k], are the
+    ``_transpose`` of the family.  Bit k of up[i] is set iff family[k]
+    holds every member of family[i]: the meet of the holders of the bits
+    inside family[i].  Bit k of down[i] is set iff family[k] holds no bit
+    outside family[i]: the complement of the join of the holders of those
+    bits.  As every bit position is inside or outside, one shift loop over
+    the holders serves both halves.
     """
-    holders = _holders(family)
+    holders = _transpose(family, max(family, default=0).bit_length())
     every = (1 << len(family)) - 1
     up = []
     down = []
@@ -112,7 +135,7 @@ def inclusion_up_masks(family: Sequence[int]) -> list[int]:
     of entry i is set iff family[i] <= family[k].  The up half of
     ``_inclusion_masks``, walking only the bits inside each set.
     """
-    holders = _holders(family)
+    holders = _transpose(family, max(family, default=0).bit_length())
     every = (1 << len(family)) - 1
     up = []
     for m in family:
@@ -186,16 +209,26 @@ def _close(up: list[int]) -> None:
                 up[i] |= up[k]
 
 
-def _down_masks(up: Sequence[int]) -> list[int]:
-    """Down-masks of a relation given by its up-masks."""
-    down = [0] * len(up)
-    for i, m in enumerate(up):
-        bit = 1 << i
-        while m:
-            low = m & -m
-            down[low.bit_length() - 1] |= bit
-            m ^= low
-    return down
+def _read_order_json(
+    data: object, noun: str, error: type[Exception]
+) -> tuple[list[str], list[tuple[str, str]]]:
+    """The elements and the leq pairs of an {"elements", "leq"} JSON object.
+    A malformed shape raises error, its message naming the model as noun."""
+    if not isinstance(data, dict):
+        raise error(f"{noun} JSON must be an object")
+    elements = data.get("elements")
+    leq = data.get("leq", [])
+    if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
+        raise error(f'{noun} JSON needs an "elements" list of strings')
+    if not isinstance(leq, list):
+        raise error(f'{noun} "leq" must be a list of pairs')
+    pairs = []
+    for item in leq:
+        if not (isinstance(item, list) and len(item) == 2
+                and all(isinstance(x, str) for x in item)):
+            raise error(f"bad leq pair {item!r}")
+        pairs.append((item[0], item[1]))
+    return elements, pairs
 
 
 class FinitePoset:
@@ -281,7 +314,7 @@ class FinitePoset:
                         f"transitivity fails: {elements[i]!r} <= {elements[j]!r} <= "
                         f"{elements[k]!r} but not {elements[i]!r} <= {elements[k]!r}"
                     )
-        down = _down_masks(up)
+        down = _transpose(up, n)
         for i, m in enumerate(up):
             # on a transitive relation the first i with a partner above and
             # below it is the smaller of the first such pair, its lowest
@@ -342,14 +375,12 @@ class FinitePoset:
 
     def covers(self) -> list[tuple[str, str]]:
         """Hasse diagram edges (a, b) with b covering a."""
-        out = []
-        for i in range(self.n):
-            strict = self._up[i] & ~(1 << i)
-            for j in iter_bits(strict):
-                between = strict & self._down[j] & ~(1 << j)
-                if not between:
-                    out.append((self.elements[i], self.elements[j]))
-        return out
+        strict = [m & ~(1 << i) for i, m in enumerate(self._up)]
+        return [
+            (self.elements[i], self.elements[j])
+            for i, m in enumerate(_cover_masks(strict))
+            for j in iter_bits(m)
+        ]
 
     def dual(self) -> "FinitePoset":
         return FinitePoset.from_up_masks(self.elements, self._down)
@@ -380,21 +411,7 @@ class FinitePoset:
 
     @classmethod
     def from_json_dict(cls, data: object) -> "FinitePoset":
-        if not isinstance(data, dict):
-            raise PosetError("poset JSON must be an object")
-        elements = data.get("elements")
-        leq = data.get("leq", [])
-        if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
-            raise PosetError('poset JSON needs an "elements" list of strings')
-        if not isinstance(leq, list):
-            raise PosetError('poset "leq" must be a list of pairs')
-        pairs = []
-        for item in leq:
-            if not (isinstance(item, list) and len(item) == 2
-                    and all(isinstance(x, str) for x in item)):
-                raise PosetError(f"bad leq pair {item!r}")
-            pairs.append((item[0], item[1]))
-        return cls(elements, pairs)
+        return cls(*_read_order_json(data, "poset", PosetError))
 
     def to_json_dict(self) -> dict:
         return {"elements": list(self.elements), "leq": [list(p) for p in self.covers()]}
@@ -486,7 +503,7 @@ def _upsets(up: Sequence[int], cap: int | None = None) -> list[int]:
     as the one before, so a result longer than cap means the preorder
     has more than cap upsets.
     """
-    down = _down_masks(up)
+    down = _transpose(up, len(up))
     limit = None if cap is None else cap + 1
     opens = [0]
     for k in range(len(up)):
@@ -587,8 +604,8 @@ def _relation_isomorphism(
     n = len(up_a)
     if len(up_b) != n:
         return None
-    down_a = _down_masks(up_a)
-    down_b = _down_masks(up_b)
+    down_a = _transpose(up_a, n)
+    down_b = _transpose(up_b, n)
     inv_a = _invariants(up_a, down_a)
     inv_b = _invariants(up_b, down_b)
     if sorted(inv_a) != sorted(inv_b):
@@ -666,7 +683,7 @@ def _canonical(up: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical labeled form: the minimum relabeling over all permutations
     consistent with the per-element invariants."""
     n = len(up)
-    inv = _invariants(up, _down_masks(up))
+    inv = _invariants(up, _transpose(up, n))
     keyed = sorted(range(n), key=lambda i: (inv[i], i))
     groups: list[list[int]] = []
     for i in keyed:

@@ -46,11 +46,13 @@ from .nuclei import (
 from .posets import (
     FinitePoset,
     _close,
+    _cover_masks,
     _extensions,
     _inclusion_masks,
     _memo,
     _opens_with_point,
     _relation_isomorphism,
+    _transpose,
     _upsets,
     image_mask,
     iter_bits,
@@ -541,8 +543,7 @@ def _eps_to_dual(space: FiniteSpace) -> tuple[int, ...]:
     dual = dual_space(open_frame(space))
     at = {fm: k for k, fm in enumerate(dual.filters)}
     out = []
-    for s in range(space.n):
-        fm = sum(1 << a for a, u in enumerate(space.opens) if u >> s & 1)
+    for fm in _transpose(space.opens, space.n):
         if fm not in at:
             raise SpaceError("neighbourhood filter of a point is not prime")  # unreachable
         out.append(at[fm])
@@ -673,20 +674,6 @@ class SimmonsIsbellReport:
         )
 
 
-def _single_covers(strict: list[int]) -> list[int]:
-    """Indices i whose strict set strict[i] (a bitmask of indices) holds
-    exactly one cover: one member that lies in no other member's set."""
-    out = []
-    for i, m in enumerate(strict):
-        inner = 0
-        for k in iter_bits(m):
-            inner |= strict[k]
-        covers = m & ~inner
-        if covers and not covers & (covers - 1):
-            out.append(i)
-    return out
-
-
 def _irreducible_nuclei(nucs: list[Nucleus]) -> tuple[list[int], list[int]]:
     """Indices of the join- and of the meet-irreducibles of N(L) in a list
     of all nuclei, read off the list alone.
@@ -701,9 +688,12 @@ def _irreducible_nuclei(nucs: list[Nucleus]) -> tuple[list[int], list[int]]:
     ]
     # bit k of up[i]: Fix(i) inside Fix(k), so nucs[k] <= nucs[i]
     up, down = _inclusion_masks(fix)
-    below = [m & ~(1 << i) for i, m in enumerate(up)]
-    above = [m & ~(1 << i) for i, m in enumerate(down)]
-    return _single_covers(below), _single_covers(above)
+    lower = _cover_masks([m & ~(1 << i) for i, m in enumerate(up)])
+    upper = _cover_masks([m & ~(1 << i) for i, m in enumerate(down)])
+    return (
+        [i for i, c in enumerate(lower) if c.bit_count() == 1],
+        [i for i, c in enumerate(upper) if c.bit_count() == 1],
+    )
 
 
 def _prime_pairs(primes: list[int], count: int):

@@ -7,6 +7,7 @@ SRC = pathlib.Path(esakia.__file__).parent
 
 # nodes that open a scope of their own
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def own_nodes(fn):
@@ -82,3 +83,60 @@ def test_no_function_assigns_a_local_it_never_reads():
         for line, fn, name in dead_locals(path.read_text(encoding="utf-8"))
     ]
     assert dead == []
+
+
+def unreferenced_helpers(sources):
+    """(module, line, name) for each module-level function or class whose
+    name starts with an underscore and that no code in sources (a dict of
+    module name to source text) names outside its own definition.  A name
+    or an attribute counts as a reference; an import alone does not."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for stmt in tree.body:
+            own = stmt.name if isinstance(stmt, DEFS) else None
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.Name):
+                    name = n.id
+                elif isinstance(n, ast.Attribute):
+                    name = n.attr
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return sorted(
+        (module, stmt.lineno, stmt.name)
+        for module, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, DEFS) and stmt.name.startswith("_") and stmt.name not in used
+    )
+
+
+def test_the_scan_finds_a_helper_that_is_never_referenced():
+    sources = {
+        "a": (
+            "def _kept(x):\n"
+            "    return x\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1) if n else 0\n"
+            "class _Shape:\n"
+            "    pass\n"
+            "def _through_module():\n"
+            "    return 0\n"
+        ),
+        "b": (
+            "from .a import _kept, _Shape\n"
+            "from . import a\n"
+            "def public():\n"
+            "    return _kept(1), a._through_module()\n"
+        ),
+    }
+    assert unreferenced_helpers(sources) == [("a", 3, "_recursive"), ("a", 5, "_Shape")]
+
+
+def test_every_private_helper_is_referenced():
+    sources = {
+        path.relative_to(SRC).as_posix(): path.read_text(encoding="utf-8")
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    assert unreferenced_helpers(sources) == []

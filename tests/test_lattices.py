@@ -5,7 +5,7 @@ from hypothesis import given
 
 from esakia import duality, lattices
 from esakia.duality import dual_space, upset_algebra
-from esakia.errors import LatticeError
+from esakia.errors import LatticeError, PosetError
 from esakia.lattices import (
     FiniteLattice,
     birkhoff_lattice,
@@ -385,6 +385,36 @@ def test_json_lattice_keeps_the_report_message(elements, leq, message):
     with pytest.raises(LatticeError) as exc:
         lattice_from_json_dict({"elements": elements, "leq": leq})
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([], '{noun} JSON must be an object'),
+        ({}, '{noun} JSON needs an "elements" list of strings'),
+        ({"elements": "ab"}, '{noun} JSON needs an "elements" list of strings'),
+        ({"elements": ["a", 1]}, '{noun} JSON needs an "elements" list of strings'),
+        ({"elements": ["a"], "leq": {}}, '{noun} "leq" must be a list of pairs'),
+        ({"elements": ["a"], "leq": [["a"]]}, "bad leq pair ['a']"),
+        ({"elements": ["a"], "leq": [["a", 1]]}, "bad leq pair ['a', 1]"),
+        ({"elements": ["a"], "leq": [("a", "a")]}, "bad leq pair ('a', 'a')"),
+    ],
+    ids=["not-object", "no-elements", "elements-str", "elements-int", "leq-dict",
+         "short-pair", "int-in-pair", "tuple-pair"],
+)
+@pytest.mark.parametrize(
+    "noun, read, error",
+    [
+        ("lattice", lattice_from_json_dict, LatticeError),
+        ("poset", FinitePoset.from_json_dict, PosetError),
+    ],
+    ids=["lattice", "poset"],
+)
+def test_json_shape_messages_name_their_route(data, message, noun, read, error):
+    with pytest.raises(error) as exc:
+        read(data)
+    assert type(exc.value) is error
+    assert str(exc.value) == message.format(noun=noun)
 
 
 def test_json_lattice_runs_validate_order_only_when_construction_fails(monkeypatch):

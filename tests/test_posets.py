@@ -5,6 +5,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from esakia import dot
 from esakia.duality import dual_space
 from esakia.errors import PosetError, SizeBoundError
 from esakia.lattices import booleanization
@@ -12,12 +13,13 @@ from esakia.nuclei import assembly_booleanization_check, fixpoint_frame, identit
 from esakia.posets import (
     FinitePoset,
     _canonical,
-    _down_masks,
+    _cover_masks,
     _extensions,
     _heights,
     _inclusion_masks,
     _invariants,
     _poset_reps,
+    _transpose,
     _upsets,
     down_closure,
     enumerate_posets,
@@ -321,6 +323,96 @@ def test_inclusion_up_masks_match_the_literal_order(family):
         assert down[i] == sum(1 << k for k, v in enumerate(family) if v & ~u == 0)
 
 
+@given(
+    st.lists(st.integers(0, 255), max_size=10),
+    st.integers(0, 4),
+)
+def test_transpose_matches_the_literal_bit_definition(rows, extra):
+    # zero rows, no rows, and widths up to four past the highest set bit
+    width = max(rows, default=0).bit_length() + extra
+    out = _transpose(rows, width)
+    assert out == [
+        sum(1 << i for i, m in enumerate(rows) if m >> p & 1) for p in range(width)
+    ]
+
+
+@given(st.integers(0, 8).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+))
+def test_transposing_a_square_matrix_twice_gives_it_back(rows):
+    n = len(rows)
+    assert _transpose(_transpose(rows, n), n) == rows
+
+
+def literal_covers(strict):
+    """The literal oracle: k covers i iff i < k and no j has i < j < k."""
+    n = len(strict)
+    return [
+        sum(
+            1 << k
+            for k in iter_bits(strict[i])
+            if not any(strict[i] >> j & 1 and strict[j] >> k & 1 for j in range(n))
+        )
+        for i in range(n)
+    ]
+
+
+def test_cover_masks_match_the_literal_covers():
+    # every poset with n <= 5, then the strict specialization order of
+    # every labelled topology with n <= 4, equivalent pairs removed
+    stricts = [
+        [m & ~(1 << i) for i, m in enumerate(p._up)]
+        for n in range(6)
+        for p in enumerate_posets(n)
+    ]
+    for n in range(5):
+        for s in enumerate_topologies(n):
+            up = s.specialization()
+            stricts.append(
+                [sum(1 << k for k in iter_bits(m) if not up[k] >> i & 1)
+                 for i, m in enumerate(up)]
+            )
+    assert len(stricts) == 88 + 390
+    for strict in stricts:
+        assert _cover_masks(strict) == literal_covers(strict)
+
+
+def scan_space_dot(space):
+    """The per-edge cover filter ``space_dot`` used before it read
+    ``_cover_masks``, kept as an oracle."""
+    up = space.specialization()
+    n = space.n
+    q = dot._quote
+    nodes = [f"{q(p)};" for p in space.points]
+    strict = [up[i] & ~(1 << i) for i in range(n)]
+    equiv = [
+        (i, k)
+        for i in range(n)
+        for k in range(i + 1, n)
+        if up[i] >> k & 1 and up[k] >> i & 1
+    ]
+    for i, k in equiv:
+        strict[i] &= ~(1 << k)
+        strict[k] &= ~(1 << i)
+    edges = []
+    for i in range(n):
+        for k in iter_bits(strict[i]):
+            between = strict[i] & ~(1 << k)
+            if any(strict[j] >> k & 1 for j in iter_bits(between)):
+                continue  # not a cover
+            edges.append(f"{q(space.points[i])} -> {q(space.points[k])};")
+    for i, k in equiv:
+        edges.append(f"{q(space.points[i])} -> {q(space.points[k])} [dir=none, style=dashed];")
+    return dot._digraph("space", nodes, sorted(edges))
+
+
+def test_space_dot_matches_the_per_edge_cover_filter():
+    spaces = [s for n in range(5) for s in enumerate_topologies(n)]
+    assert len(spaces) == 390
+    for s in spaces:
+        assert dot.space_dot(s) == scan_space_dot(s)
+
+
 INCLUSION_SITES = {
     "birkhoff_lattice",
     "open_frame",
@@ -438,7 +530,7 @@ def test_invariants_match_the_sorted_scan():
             orders.append(s.specialization())
     assert len(orders) == 2 * 406 + 2 * 390
     for up in orders:
-        down = _down_masks(up)
+        down = _transpose(up, len(up))
         assert _heights(up, down) == scan_heights(up, down)
         assert _heights(down, up) == scan_heights(down, up)
         assert _invariants(up, down) == scan_invariants(up, down)
