@@ -38,19 +38,14 @@ class EsakiaSpaceFin:
     """A finite Priestley/Esakia space: a poset with the discrete topology.
 
     ``filters[k]`` is the membership mask (over the source lattice carrier)
-    of the prime filter sitting at point k; it is None for spaces built
-    from a bare poset.  What is derived from the space (phi, its inverse,
-    down-closures, nuclear sets, front opens) is memoised in ``_cache``.
+    of the prime filter sitting at point k.  What is derived from the space
+    (phi, its inverse, down-closures, nuclear sets, front opens) is
+    memoised in ``_cache``.
     """
 
     __slots__ = ("poset", "filters", "source", "_cache")
 
-    def __init__(
-        self,
-        poset: FinitePoset,
-        filters: tuple[int, ...] | None = None,
-        source: FiniteLattice | None = None,
-    ):
+    def __init__(self, poset: FinitePoset, filters: tuple[int, ...], source: FiniteLattice):
         self.poset = poset
         self.filters = filters
         self.source = source
@@ -82,8 +77,6 @@ def phi_table(space: EsakiaSpaceFin) -> tuple[int, ...]:
     """phi(a) for every carrier element a of the source lattice: the
     ``_transpose`` of the filters, as a is in phi(a) at point k iff a is
     in filters[k]."""
-    if space.source is None or space.filters is None:
-        raise LatticeError("space has no source lattice attached")
     return tuple(_transpose(space.filters, space.source.n))
 
 

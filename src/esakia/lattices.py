@@ -27,11 +27,14 @@ constructor as inclusion orders on a family of sets, built by
 every lattice is validated on its own route.  JSON lattices enter
 through the pair constructor ``FinitePoset``.
 
-The principal-mask lookup stays as the route that names failures: i*j
-exists iff down(i) & down(j) is the down-mask of some element (joins
-mirror this with up-masks).  ``_bound_tables`` builds both tables that
-way for validate_order and, when (a) or (b) fails, for the constructor,
-which then names the first missing bound or distributivity witness.
+Failures are named by one report, ``_order_report``, in one wording.
+It builds the meet and join tables by principal-mask lookup (i*j exists
+iff down(i) & down(j) is the down-mask of some element; joins mirror
+this with up-masks) and names the first missing bound, else the first
+distributivity witness.  validate_order returns that report; when (a)
+or (b) fails, the constructor raises its problem as a LatticeError, so
+lattice_from_json_dict, which adds only the pair constructor's
+PosetError, reads the same report.
 
 The implication table keeps the sup-based definition, a->b the
 largest x with a*x <= b, solved per row over the fibres of x -> a*x
@@ -47,11 +50,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import NoReturn
 
 from .errors import LatticeError, PosetError
 from .posets import (
     FinitePoset,
+    _join_rows,
     _memo,
     _read_order_json,
     _transpose,
@@ -131,9 +134,6 @@ class FiniteLattice:
 
     def __init__(self, poset: FinitePoset):
         n = poset.n
-        if n == 0:
-            raise LatticeError("empty carrier cannot be a bounded lattice")
-
         # join-irreducible iff exactly one lower cover (finite lattices),
         # i.e. iff the strict downset is principal; the bottom's is empty
         principal = {poset.down_mask(g) for g in range(n)}
@@ -147,12 +147,13 @@ class FiniteLattice:
         )
 
         # Birkhoff, conditions (a) and (b) of the module docstring: an order
-        # embedding into the upsets of base, which number exactly n
+        # embedding into the upsets of base, which number exactly n; the
+        # empty order fails (b), as its empty base has one upset
         if (
             inclusion_up_masks(upset_of) != list(poset._up)
             or len(_upsets(base._up, n)) != n
         ):
-            _raise_not_a_distributive_lattice(poset)
+            raise LatticeError("; ".join(_order_report(poset).problems))
 
         of_mask = {m: a for a, m in enumerate(upset_of)}
         self.poset = poset
@@ -262,23 +263,6 @@ class FiniteLattice:
         return self.poset.to_json_dict()
 
 
-def _raise_not_a_distributive_lattice(poset: FinitePoset) -> NoReturn:
-    """Raise the first missing bound, else the first distributivity witness."""
-    meet_t, join_t = _bound_tables(poset)
-    missing = _missing_bound(meet_t, join_t)
-    if missing is not None:
-        kind, i, j = missing
-        raise LatticeError(
-            f"no {kind} for {poset.elements[i]!r} and {poset.elements[j]!r}"
-        )
-    witness = _distributivity_witness(poset.elements, meet_t, join_t)
-    assert witness is not None, "non-distributive lattice without witness triple"
-    raise LatticeError(
-        "not distributive: a*(b+c) != (a*b)+(a*c) for "
-        f"a={witness[0]!r} b={witness[1]!r} c={witness[2]!r}"
-    )
-
-
 def _distributivity_witness(
     labels: Sequence[str], meet_t: list[list[int]], join_t: list[list[int]]
 ) -> tuple[str, str, str] | None:
@@ -311,17 +295,23 @@ def validate_order(
 ) -> LatticeReport:
     """Check lattice and distributivity axioms over a raw order, reporting
     the first witness of each failure instead of raising."""
-    problems: list[str] = []
-    witness: tuple[str, ...] | None = None
     try:
         poset = FinitePoset(elements, relation)
     except PosetError as exc:
         return LatticeReport(False, False, False, False, False, False, (str(exc),), None)
-    n = poset.n
-    if n == 0:
+    return _order_report(poset)
+
+
+def _order_report(poset: FinitePoset) -> LatticeReport:
+    """The lattice and distributivity axioms checked on a built order: the
+    first missing bound, else the first distributivity witness."""
+    if poset.n == 0:
         return LatticeReport(
             False, True, False, False, False, False, ("empty carrier",), None
         )
+    elements = poset.elements
+    problems: list[str] = []
+    witness: tuple[str, ...] | None = None
     meet_t, join_t = _bound_tables(poset)
     has_meets = not any(None in row for row in meet_t)
     has_joins = not any(None in row for row in join_t)
@@ -333,7 +323,7 @@ def validate_order(
     bounded = has_meets and has_joins  # folds exist once binary ops do
     distributive = False
     if has_meets and has_joins:
-        tri = _distributivity_witness(poset.elements, meet_t, join_t)
+        tri = _distributivity_witness(elements, meet_t, join_t)
         distributive = tri is None
         if tri is not None:
             witness = tri
@@ -363,11 +353,10 @@ def birkhoff_lattice(poset: FinitePoset) -> FiniteLattice:
 def lattice_from_json_dict(data: object) -> FiniteLattice:
     elements, pairs = _read_order_json(data, "lattice", LatticeError)
     try:
-        return FiniteLattice(FinitePoset(elements, pairs))
-    except (PosetError, LatticeError):
-        # JSON input keeps the report's messages, not the constructors'
-        report = validate_order(elements, pairs)
-        raise LatticeError("; ".join(report.problems) or "invalid lattice") from None
+        poset = FinitePoset(elements, pairs)
+    except PosetError as exc:
+        raise LatticeError(str(exc)) from None
+    return FiniteLattice(poset)
 
 
 # -- irreducibles and primes -----------------------------------------------
@@ -418,10 +407,7 @@ def _principal_completely_prime(lattice: FiniteLattice, g: int) -> bool:
     """up(g) is completely prime iff g is not below the join of the
     elements outside up(g): its Birkhoff mask is not inside their union."""
     poset, up = lattice.poset, lattice.upset_of
-    rest = 0
-    for x in iter_bits(poset.full_mask & ~poset.up_mask(g)):
-        rest |= up[x]
-    return up[g] & ~rest != 0
+    return up[g] & ~_join_rows(up, poset.full_mask & ~poset.up_mask(g)) != 0
 
 
 def prime_filters(lattice: FiniteLattice) -> list[Filter]:

@@ -47,7 +47,9 @@ from .lattices import (
 from .posets import (
     FinitePoset,
     _memo,
+    _meet_rows,
     find_isomorphism,
+    image_mask,
     iter_bits,
     set_label,
 )
@@ -249,8 +251,6 @@ def to_nuclear_set(space: EsakiaSpaceFin, j: Nucleus) -> int:
     dual space, in its ``_cache["to_nuclear_set"]``, keyed by the full
     value table ``j.values``.
     """
-    if space.filters is None or space.source is None:
-        raise NucleusError("space has no source lattice attached")
     table = phi_table(space)
     moved = 0
     for v, t in zip(j.values, table):
@@ -288,8 +288,6 @@ def from_nuclear_set(space: EsakiaSpaceFin, mask: int) -> Nucleus:
     only masks of the dual space are ever stored.
     """
     space.poset.check_mask(mask)
-    if space.source is None:
-        raise NucleusError("space has no source lattice attached")
     closures = _down_closures(space)
     # the complement of a down-closure is an upset, and phi is onto the
     # upsets, so every lookup hits
@@ -424,11 +422,7 @@ def enumerate_nuclei_oracle(lattice: FiniteLattice) -> list[Nucleus]:
             low = pending & -pending
             pending ^= low
             s = low.bit_length() - 1
-            row = meet_t[s]
-            add = imp_into[s]
-            for t in iter_bits(closed):
-                add |= 1 << row[t]
-            add &= ~closed
+            add = (imp_into[s] | image_mask(closed, meet_t[s])) & ~closed
             if add & ~keep:
                 return -1
             closed |= add
@@ -451,16 +445,10 @@ def enumerate_nuclei_oracle(lattice: FiniteLattice) -> list[Nucleus]:
     up = lattice.poset._up
     birkhoff = lattice.upset_of
     top = birkhoff[lattice.top]
-    tables = []
-    for s in found:
-        values = []
-        for a in range(n):
-            m = top
-            for x in iter_bits(s & up[a]):
-                m &= birkhoff[x]
-            values.append(lattice.of_mask[m])
-        tables.append(Nucleus(tuple(values)))
-    return tables
+    return [
+        Nucleus(tuple(lattice.of_mask[_meet_rows(birkhoff, s & up[a], top)] for a in range(n)))
+        for s in found
+    ]
 
 
 # -- derived frames -----------------------------------------------------------

@@ -20,7 +20,12 @@ Conventions used by the whole package:
   the holders of a family, phi, the neighbourhood filters of a space and
   the Birkhoff masks of a lattice are all transposes; ``covers``, the
   solid edges of ``space_dot`` and the irreducibles of N(L) are all
-  cover masks.
+  cover masks.  The union and the intersection of the rows that a mask
+  selects are ``_join_rows`` and ``_meet_rows``: ``_cover_masks``,
+  ``down_closure`` (so the Heyting implication of the dual space and
+  ``neg``) and the completely prime filter test join rows;
+  ``inclusion_up_masks``, ``_extensions`` and the nucleus values of
+  ``enumerate_nuclei_oracle`` meet them.
 * Masks and pairs enter through ``FinitePoset.from_up_masks``, which
   checks reflexivity, transitivity and antisymmetry of the masks it is
   given.  Label pairs come only from JSON input, ``chain``/``antichain``
@@ -86,19 +91,29 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
     return out
 
 
+def _join_rows(rows: Sequence[int], mask: int) -> int:
+    """The union of rows[i] over the set bits i of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _meet_rows(rows: Sequence[int], mask: int, top: int) -> int:
+    """top intersected with rows[i] for each set bit i of mask."""
+    while mask:
+        low = mask & -mask
+        top &= rows[low.bit_length() - 1]
+        mask ^= low
+    return top
+
+
 def _cover_masks(strict: Sequence[int]) -> list[int]:
     """Hasse covers of a strict relation given by rows: entry i holds the
     members of strict[i] that lie in no strict[k] with k in strict[i]."""
-    out = []
-    for m in strict:
-        inner = 0
-        rest = m
-        while rest:
-            low = rest & -rest
-            inner |= strict[low.bit_length() - 1]
-            rest ^= low
-        out.append(m & ~inner)
-    return out
+    return [m & ~_join_rows(strict, m) for m in strict]
 
 
 def _inclusion_masks(family: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -137,15 +152,7 @@ def inclusion_up_masks(family: Sequence[int]) -> list[int]:
     """
     holders = _transpose(family, max(family, default=0).bit_length())
     every = (1 << len(family)) - 1
-    up = []
-    for m in family:
-        meet = every
-        while m:
-            low = m & -m
-            meet &= holders[low.bit_length() - 1]
-            m ^= low
-        up.append(meet)
-    return up
+    return [_meet_rows(holders, m, every) for m in family]
 
 
 def _memo(key: str, by: Callable[[object], Hashable] | None = None):
@@ -421,11 +428,7 @@ class FinitePoset:
 
 
 def down_closure(poset: FinitePoset, mask: int) -> int:
-    poset.check_mask(mask)
-    out = 0
-    for i in iter_bits(mask):
-        out |= poset._down[i]
-    return out
+    return _join_rows(poset._down, poset.check_mask(mask))
 
 
 def maximal_points(poset: FinitePoset, mask: int) -> int:
@@ -440,8 +443,10 @@ def maximal_points(poset: FinitePoset, mask: int) -> int:
 def image_mask(mask: int, mapping: Sequence[int]) -> int:
     """The image of a subset under the index map i -> mapping[i]."""
     out = 0
-    for i in iter_bits(mask):
-        out |= 1 << mapping[i]
+    while mask:
+        low = mask & -mask
+        out |= 1 << mapping[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
@@ -532,9 +537,7 @@ def _extensions(opens: Sequence[int], k: int, antisymmetric: bool) -> Iterator[t
     for v in opens:
         below = full & ~v
         # above misses below, so lies in v, when antisymmetric is set
-        common = v if antisymmetric else full
-        for x in iter_bits(below):
-            common &= minimal[x]
+        common = _meet_rows(minimal, below, v if antisymmetric else full)
         for above in opens:
             if not above & ~common:
                 yield below, above
@@ -695,10 +698,7 @@ def _canonical(up: tuple[int, ...]) -> tuple[int, ...]:
     for perm in _group_perms(groups, n):
         relabeled = [0] * n
         for i in range(n):
-            m = 0
-            for j in iter_bits(up[i]):
-                m |= 1 << perm[j]
-            relabeled[perm[i]] = m
+            relabeled[perm[i]] = image_mask(up[i], perm)
         key = tuple(relabeled)
         if best is None or key < best:
             best = key

@@ -98,13 +98,13 @@ def oracle_error(poset: FinitePoset, meet, join) -> str | None:
         for j in range(i, n):
             for kind, table in (("meet", meet), ("join", join)):
                 if table[i][j] is None:
-                    return f"no {kind} for {labels[i]!r} and {labels[j]!r}"
+                    return f"no {kind} for {labels[i]!r}, {labels[j]!r}"
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
                     return (
-                        "not distributive: a*(b+c) != (a*b)+(a*c) for "
+                        "distributivity fails at "
                         f"a={labels[a]!r} b={labels[b]!r} c={labels[c]!r}"
                     )
     return None
@@ -419,13 +419,13 @@ def test_json_shape_messages_name_their_route(data, message, noun, read, error):
 
 def test_json_lattice_runs_validate_order_only_when_construction_fails(monkeypatch):
     calls = []
-    validate = lattices.validate_order
+    report = lattices._order_report
 
-    def counting(elements, relation):
-        calls.append(elements)
-        return validate(elements, relation)
+    def counting(poset):
+        calls.append(poset)
+        return report(poset)
 
-    monkeypatch.setattr(lattices, "validate_order", counting)
+    monkeypatch.setattr(lattices, "_order_report", counting)
     lattice_from_json_dict(diamond().to_json_dict())
     assert calls == []
     with pytest.raises(LatticeError):
@@ -530,36 +530,33 @@ def test_tables_are_built_only_on_demand():
 
 
 @pytest.mark.parametrize(
-    "elements, pairs, message, problem, witness",
+    "elements, pairs, problem, witness",
     [
         (
             ["0", "a", "b"],
             [("0", "a"), ("0", "b")],
-            "no join for 'a' and 'b'",
             "no join for 'a', 'b'",
             ("a", "b"),
         ),
         (
             ["a", "b", "1"],
             [("a", "1"), ("b", "1")],
-            "no meet for 'a' and 'b'",
             "no meet for 'a', 'b'",
             ("a", "b"),
         ),
         (
             ["0", "a", "b", "c", "1"],
             [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")],
-            "not distributive: a*(b+c) != (a*b)+(a*c) for a='b' b='a' c='c'",
             "distributivity fails at a='b' b='a' c='c'",
             ("b", "a", "c"),
         ),
     ],
     ids=["two-maximal", "two-minimal", "n5"],
 )
-def test_non_lattices_keep_their_messages(elements, pairs, message, problem, witness):
+def test_non_lattices_keep_their_messages(elements, pairs, problem, witness):
     with pytest.raises(LatticeError) as exc:
         FiniteLattice(FinitePoset(elements, pairs))
-    assert str(exc.value) == message
+    assert str(exc.value) == problem
     rep = validate_order(elements, pairs)
     assert not rep.ok
     assert rep.problems == (problem,) and rep.witness == witness

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import sys
+from functools import reduce
+from operator import and_, or_
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from esakia import dot
 from esakia.duality import dual_space
@@ -18,6 +20,8 @@ from esakia.posets import (
     _heights,
     _inclusion_masks,
     _invariants,
+    _join_rows,
+    _meet_rows,
     _poset_reps,
     _transpose,
     _upsets,
@@ -342,6 +346,23 @@ def test_transpose_matches_the_literal_bit_definition(rows, extra):
 def test_transposing_a_square_matrix_twice_gives_it_back(rows):
     n = len(rows)
     assert _transpose(_transpose(rows, n), n) == rows
+
+
+@given(
+    st.lists(st.integers(0, 255), max_size=10).flatmap(
+        lambda rows: st.tuples(st.just(rows), st.integers(0, (1 << len(rows)) - 1))
+    ),
+    st.integers(0, 255),
+)
+@example(([], 0), 0b110)
+@example(([0b011, 0b101, 0b110], 0), 0b110)
+@example(([0b011, 0b101, 0b110], 0b111), 0b111)
+def test_join_and_meet_rows_match_a_literal_reduce(drawn, top):
+    # the empty mask gives 0 and top
+    rows, mask = drawn
+    picked = [rows[i] for i in range(len(rows)) if mask >> i & 1]
+    assert _join_rows(rows, mask) == reduce(or_, picked, 0)
+    assert _meet_rows(rows, mask, top) == reduce(and_, picked, top)
 
 
 def literal_covers(strict):
