@@ -7,11 +7,12 @@ of prime filters under inclusion.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import lattices
 from .errors import LatticeError
-from .lattices import FiniteLattice, birkhoff_lattice
+from .lattices import FiniteLattice, _upset_lattice
 from .posets import (
     FinitePoset,
     _memo,
@@ -114,8 +115,12 @@ def upset_algebra(space: EsakiaSpaceFin) -> FiniteLattice:
     is recomputed by the dual-space formula and compared against the
     sup-based table, so the two derivations stay independent.
     """
-    lat = birkhoff_lattice(space.poset)
-    masks = upset_masks(space.poset)
+    return _upset_algebra(space, upset_masks(space.poset))
+
+
+def _upset_algebra(space: EsakiaSpaceFin, masks: Sequence[int]) -> FiniteLattice:
+    """``upset_algebra`` on the upsets of the space, already listed."""
+    lat = _upset_lattice(space.poset, masks)
     for i in range(lat.n):
         for j in range(lat.n):
             formula = heyting_imp_mask(space, masks[i], masks[j])
@@ -172,7 +177,7 @@ def unit_counit_check(lattice: FiniteLattice) -> DualityReport:
             break
 
     # counit: points of the upset algebra, matched back to the space
-    algebra = upset_algebra(space)
+    algebra = _upset_algebra(space, masks)
     double = dual_space(algebra)
     counit_ok = double.n == space.n
     if counit_ok:

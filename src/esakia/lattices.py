@@ -345,7 +345,12 @@ def birkhoff_lattice(poset: FinitePoset) -> FiniteLattice:
     upsets rendered in set notation, so the i-th carrier element is
     upset_masks(poset)[i] and consumers may rely on that alignment.
     """
-    masks = upset_masks(poset)
+    return _upset_lattice(poset, upset_masks(poset))
+
+
+def _upset_lattice(poset: FinitePoset, masks: Sequence[int]) -> FiniteLattice:
+    """``birkhoff_lattice`` on upsets already listed: masks are all the
+    upsets of poset, ascending."""
     labels = [set_label(poset.elements, m) for m in masks]
     return FiniteLattice(FinitePoset.of_family(labels, masks))
 
@@ -553,7 +558,8 @@ def booleanization(lattice: FiniteLattice) -> Booleanization:
     bound inside the image, so the induced order already carries the
     right lattice structure.
     """
-    reg = sorted({lattice.neg(lattice.neg(a)) for a in range(lattice.n)})
+    nn = [lattice.neg(lattice.neg(a)) for a in range(lattice.n)]
+    reg = sorted(set(nn))
     image_mask = 0
     for a in reg:
         image_mask |= 1 << a
@@ -565,5 +571,5 @@ def booleanization(lattice: FiniteLattice) -> Booleanization:
     if not is_boolean(sub):
         raise LatticeError("double-negation image failed to be boolean")
     back = {a: i for i, a in enumerate(reg)}
-    project = tuple(back[lattice.neg(lattice.neg(a))] for a in range(lattice.n))
+    project = tuple(back[a] for a in nn)
     return Booleanization(sub, image_mask, project, tuple(reg))

@@ -48,7 +48,7 @@ from .posets import (
     FinitePoset,
     _memo,
     _meet_rows,
-    find_isomorphism,
+    _relation_isomorphism,
     image_mask,
     iter_bits,
     set_label,
@@ -528,9 +528,10 @@ def assembly_booleanization_check(lattice: FiniteLattice) -> BooleanizationCheck
     rc = sorted(regular_closed(disc))
     names = [set_label(asm.dual.poset.elements, m) for m in rc]
     rc_lattice = FiniteLattice(FinitePoset.of_family(names, rc))
-    dual_iso = (
-        find_isomorphism(b.lattice.poset, rc_lattice.poset.dual()) is not None
-    )
+    bp = b.lattice.poset
+    rp = rc_lattice.poset
+    # the dual order of rp has rp's down-masks as its up-masks
+    dual_iso = _relation_isomorphism(bp._up, bp._down, rp._down, rp._up) is not None
     ok = dual_iso and b.lattice.n == rc_lattice.n
     return BooleanizationCheck(ok, b.lattice.n, rc_lattice.n, dual_iso)
 

@@ -37,6 +37,13 @@ Conventions used by the whole package:
   and ``_extensions`` yields every way to place a new point.  Posets,
   topologies (``spaces.enumerate_topologies``), ``upset_masks`` and
   ``FiniteSpace.from_preorder`` all grow through them.
+* Isomorphisms of orders and of specialization preorders are searched
+  by ``_relation_isomorphism``, which takes the up- and down-masks of
+  both relations, so callers hand in the down-masks they already hold.
+  Each distinct ``_invariants`` tuple gets a small class id and the
+  candidates of a class are one mask; a candidate is tested by two mask
+  comparisons, the used points above and below it against the images of
+  the placed points above and below the source.
 * Whatever is derived from a lattice, a dual space or a topological
   space is memoised in one place, ``_memo``, on the object it describes.
 """
@@ -529,11 +536,9 @@ def _extensions(opens: Sequence[int], k: int, antisymmetric: bool) -> Iterator[t
     equivalent to no old point.
     """
     full = (1 << k) - 1
-    # minimal[x]: the smallest upset holding x, the points above x
-    minimal = [full] * k
-    for v in opens:
-        for x in iter_bits(v):
-            minimal[x] &= v
+    # minimal[x]: the smallest upset holding x, the points above x, is the
+    # meet of the opens that hold x
+    minimal = [_meet_rows(opens, h, full) for h in _transpose(opens, k)]
     for v in opens:
         below = full & ~v
         # above misses below, so lies in v, when antisymmetric is set
@@ -599,63 +604,61 @@ def _invariants(up: Sequence[int], down: Sequence[int]) -> list[tuple]:
 
 
 def _relation_isomorphism(
-    up_a: Sequence[int], up_b: Sequence[int]
+    up_a: Sequence[int], down_a: Sequence[int], up_b: Sequence[int], down_b: Sequence[int]
 ) -> list[int] | None:
     """Backtracking search for a relation isomorphism between two reflexive
-    relations given as up-masks.  Works for preorders as well as posets.
-    Returns the image index for each source index, or None."""
+    relations given by their up- and down-masks.  Works for preorders as
+    well as posets.  Returns the image index for each source index, or None.
+
+    The partial map is a bijection from the placed source indices onto the
+    used target indices, so a candidate j for i agrees with it on every
+    placed pair iff the used points above and below j are the images of the
+    placed points above and below i: two mask comparisons per candidate.
+    """
     n = len(up_a)
     if len(up_b) != n:
         return None
-    down_a = _transpose(up_a, n)
-    down_b = _transpose(up_b, n)
     inv_a = _invariants(up_a, down_a)
     inv_b = _invariants(up_b, down_b)
     if sorted(inv_a) != sorted(inv_b):
         return None
+    # each distinct invariant gets a class id; the candidates of a class
+    # are one mask of target indices
+    ids: dict[tuple, int] = {}
+    cls = [ids.setdefault(v, len(ids)) for v in inv_a]
+    pool = [0] * len(ids)
+    for j, v in enumerate(inv_b):
+        pool[ids[v]] |= 1 << j
     # most-constrained-first: rare invariants and high degree early
-    counts: dict[tuple, int] = {}
-    for v in inv_a:
-        counts[v] = counts.get(v, 0) + 1
-    order = sorted(range(n), key=lambda i: (counts[inv_a[i]], -bin(up_a[i] | down_a[i]).count("1"), i))
-    image = [-1] * n
-    used = 0
+    order = sorted(
+        range(n),
+        key=lambda i: (pool[cls[i]].bit_count(), -(up_a[i] | down_a[i]).bit_count(), i),
+    )
+    image = [0] * n
 
-    def extend(pos: int) -> bool:
-        nonlocal used
+    def extend(pos: int, placed: int, used: int) -> bool:
         if pos == n:
             return True
         i = order[pos]
-        for j in range(n):
-            if used >> j & 1 or inv_b[j] != inv_a[i]:
-                continue
-            ok = True
-            for pos2 in range(pos):
-                i2 = order[pos2]
-                j2 = image[i2]
-                if (up_a[i] >> i2 & 1) != (up_b[j] >> j2 & 1) or (
-                    up_a[i2] >> i & 1
-                ) != (up_b[j2] >> j & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[i] = j
-            used |= 1 << j
-            if extend(pos + 1):
-                return True
-            used &= ~(1 << j)
-            image[i] = -1
+        above = image_mask(up_a[i] & placed, image)
+        below = image_mask(down_a[i] & placed, image)
+        rest = pool[cls[i]] & ~used
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            if up_b[j] & used == above and down_b[j] & used == below:
+                image[i] = j
+                if extend(pos + 1, placed | 1 << i, used | low):
+                    return True
         return False
 
-    if not extend(0):
-        return None
-    return image
+    return image if extend(0, 0, 0) else None
 
 
 def find_isomorphism(a: FinitePoset, b: FinitePoset) -> dict[str, str] | None:
     """An order isomorphism a -> b as an element mapping, or None."""
-    image = _relation_isomorphism(a._up, b._up)
+    image = _relation_isomorphism(a._up, a._down, b._up, b._down)
     if image is None:
         return None
     return {a.elements[i]: b.elements[image[i]] for i in range(a.n)}

@@ -327,7 +327,11 @@ def t0_reflection(space: FiniteSpace) -> tuple[FiniteSpace, QuotientMap]:
 
 def find_homeomorphism(a: FiniteSpace, b: FiniteSpace) -> dict[str, str] | None:
     """A point bijection matching both specialization and open families."""
-    perm = _relation_isomorphism(a.specialization(), b.specialization())
+    spec_a = a.specialization()
+    spec_b = b.specialization()
+    perm = _relation_isomorphism(
+        spec_a, _transpose(spec_a, a.n), spec_b, _transpose(spec_b, b.n)
+    )
     if perm is None:
         return None
     if {image_mask(u, perm) for u in a.opens} != set(b.opens):

@@ -1,5 +1,6 @@
 from hypothesis import given
 
+from esakia import duality, lattices
 from esakia.duality import (
     dual_space,
     heyting_imp_mask,
@@ -10,7 +11,7 @@ from esakia.duality import (
     upset_algebra,
 )
 from esakia.lattices import birkhoff_lattice, lattice_from_json_dict
-from esakia.posets import FinitePoset, enumerate_posets, find_isomorphism
+from esakia.posets import FinitePoset, enumerate_posets, find_isomorphism, upset_masks
 
 from conftest import posets
 
@@ -79,3 +80,18 @@ def test_base_of_dual_matches_source_base():
 @given(posets(max_size=4))
 def test_duality_round_trip_property(p):
     assert unit_counit_check(birkhoff_lattice(p)).ok
+
+
+def test_a_round_trip_lists_the_upsets_of_the_dual_once(monkeypatch):
+    # the check, its upset algebra and that algebra's lattice share one list
+    lat = birkhoff_lattice(FinitePoset(["a", "b", "c", "d"], [("a", "c"), ("b", "c"), ("b", "d")]))
+    sizes = []
+
+    def counting(poset):
+        sizes.append(poset.n)
+        return upset_masks(poset)
+
+    for module in (duality, lattices):
+        monkeypatch.setattr(module, "upset_masks", counting)
+    assert unit_counit_check(lat).ok
+    assert sizes == [4]

@@ -417,7 +417,7 @@ def test_json_shape_messages_name_their_route(data, message, noun, read, error):
     assert str(exc.value) == message.format(noun=noun)
 
 
-def test_json_lattice_runs_validate_order_only_when_construction_fails(monkeypatch):
+def test_json_lattice_runs_order_report_only_when_construction_fails(monkeypatch):
     calls = []
     report = lattices._order_report
 
@@ -564,16 +564,16 @@ def test_non_lattices_keep_their_messages(elements, pairs, problem, witness):
 
 def test_upset_algebra_catches_a_corrupted_implication(monkeypatch):
     space = dual_space(diamond())
-    build = duality.birkhoff_lattice
+    build = duality._upset_lattice
 
-    def corrupted(poset):
-        lat = build(poset)
+    def corrupted(poset, masks):
+        lat = build(poset, masks)
         lat.imp(lat.top, lat.bot)
         lat._cache["imp"][lat.top][lat.bot] = lat.top
         return lat
 
     upset_algebra(space)
-    monkeypatch.setattr(duality, "birkhoff_lattice", corrupted)
+    monkeypatch.setattr(duality, "_upset_lattice", corrupted)
     with pytest.raises(LatticeError, match="implication formula disagrees"):
         upset_algebra(space)
 

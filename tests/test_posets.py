@@ -1,7 +1,9 @@
 import hashlib
 import json
+import random
 import sys
 from functools import reduce
+from itertools import permutations
 from operator import and_, or_
 
 import pytest
@@ -23,6 +25,7 @@ from esakia.posets import (
     _join_rows,
     _meet_rows,
     _poset_reps,
+    _relation_isomorphism,
     _transpose,
     _upsets,
     down_closure,
@@ -145,6 +148,116 @@ def test_find_isomorphism_relabels():
     assert iso is not None
     assert iso["a"] == "w"
     assert find_isomorphism(p, FinitePoset.chain(3)) is None
+
+
+def pair_loop_isomorphism(up_a, up_b):
+    """The literal oracle for the first mapping the search finds: the same
+    candidate order, each candidate checked against every placed pair."""
+    n = len(up_a)
+    if len(up_b) != n:
+        return None
+    down_a = _transpose(up_a, n)
+    inv_a = _invariants(up_a, down_a)
+    inv_b = _invariants(up_b, _transpose(up_b, n))
+    if sorted(inv_a) != sorted(inv_b):
+        return None
+    counts = {v: inv_a.count(v) for v in inv_a}
+    order = sorted(
+        range(n), key=lambda i: (counts[inv_a[i]], -bin(up_a[i] | down_a[i]).count("1"), i)
+    )
+    image = [-1] * n
+
+    def extend(pos):
+        if pos == n:
+            return True
+        i = order[pos]
+        for j in range(n):
+            if j in image or inv_b[j] != inv_a[i]:
+                continue
+            if all(
+                (up_a[i] >> i2 & 1) == (up_b[j] >> image[i2] & 1)
+                and (up_a[i2] >> i & 1) == (up_b[image[i2]] >> j & 1)
+                for i2 in order[:pos]
+            ):
+                image[i] = j
+                if extend(pos + 1):
+                    return True
+                image[i] = -1
+        return False
+
+    return image if extend(0) else None
+
+
+def is_relation_isomorphism(up_a, up_b, image):
+    n = len(up_a)
+    return sorted(image) == list(range(n)) and all(
+        (up_a[i] >> k & 1) == (up_b[image[i]] >> image[k] & 1)
+        for i in range(n)
+        for k in range(n)
+    )
+
+
+def relabel(up, perm):
+    """The relation carried along i -> perm[i]."""
+    out = [0] * len(up)
+    for i, m in enumerate(up):
+        out[perm[i]] = image_mask(m, perm)
+    return tuple(out)
+
+
+def labelled_preorders(n):
+    """Every reflexive transitive relation on n points, by brute force."""
+    pairs = [(i, k) for i in range(n) for k in range(n) if i != k]
+    found = set()
+    for chosen in range(1 << len(pairs)):
+        up = [1 << i for i in range(n)]
+        for b, (i, k) in enumerate(pairs):
+            if chosen >> b & 1:
+                up[i] |= 1 << k
+        if all(up[k] & ~up[i] == 0 for i in range(n) for k in iter_bits(up[i])):
+            found.add(tuple(up))
+    return sorted(found)
+
+
+def check_search(up_a, up_b, exists):
+    n = len(up_a)
+    got = _relation_isomorphism(up_a, _transpose(up_a, n), up_b, _transpose(up_b, len(up_b)))
+    assert got == pair_loop_isomorphism(up_a, up_b)
+    assert (got is not None) == exists
+    if got is not None:
+        assert is_relation_isomorphism(up_a, up_b, got)
+
+
+def scan_exists(up_a, up_b):
+    """The literal oracle: some permutation is a relation isomorphism."""
+    n = len(up_a)
+    return len(up_b) == n and any(
+        is_relation_isomorphism(up_a, up_b, perm) for perm in permutations(range(n))
+    )
+
+
+def test_the_search_agrees_with_the_permutation_scan():
+    rng = random.Random(7)
+    orders = [up for n in range(5) for up in _poset_reps(n)]
+    orders += [up for n in range(4) for up in labelled_preorders(n)]
+    assert len(orders) == 25 + 35
+    for up_a in orders:
+        for up_b in orders:
+            # a random relabelling of b moves the search off the identity
+            perm = list(range(len(up_b)))
+            rng.shuffle(perm)
+            up_b = relabel(up_b, perm)
+            check_search(up_a, up_b, scan_exists(up_a, up_b))
+
+
+def test_the_search_finds_every_random_relabelling():
+    rng = random.Random(11)
+    orders = [up for n in (5, 6) for up in _poset_reps(n)]
+    orders += [s.specialization() for s in enumerate_topologies(4)]
+    for up in orders:
+        perm = list(range(len(up)))
+        rng.shuffle(perm)
+        check_search(up, relabel(up, perm), True)
 
 
 def test_upset_masks_match_the_scan():
@@ -435,7 +548,7 @@ def test_space_dot_matches_the_per_edge_cover_filter():
 
 
 INCLUSION_SITES = {
-    "birkhoff_lattice",
+    "_upset_lattice",
     "open_frame",
     "dual_space",
     "booleanization",
