@@ -5,7 +5,8 @@ argument starting with ``{`` or ``[`` is parsed as JSON directly), and
 writes deterministic JSON or DOT to stdout.  Exit codes: 0 success,
 2 usage error (including an ``ESAKIA_*`` bound that is not a non-negative
 integer), 3 unreadable or malformed JSON, 4 invalid model, 5 size bound
-exceeded.
+exceeded.  A call builds only the parser of the verb it names, and the
+full parser tree only for top-level help and usage errors.
 """
 
 from __future__ import annotations
@@ -324,36 +325,38 @@ def _cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="esakia",
-        description="Finite frames, nuclei, and Priestley duality workbench.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
+# Each verb's arguments.  Every adder names its command inside its body,
+# so the command is looked up in this module at call time.
 
-    p = sub.add_parser("dual", help="dual space of a finite lattice")
+
+def _dual_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lattice", required=True, help="lattice JSON (path or inline)")
     p.set_defaults(func=_cmd_dual)
 
-    p = sub.add_parser("assembly", help="assembly frame of nuclei")
+
+def _assembly_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lattice", required=True)
     p.add_argument("--count", action="store_true", help="print only the size")
     p.set_defaults(func=_cmd_assembly)
 
-    p = sub.add_parser("nuclei", help="enumerate all nuclei")
+
+def _nuclei_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lattice", required=True)
     p.add_argument("--count", action="store_true", help="print only the count")
     p.set_defaults(func=_cmd_nuclei)
 
-    p = sub.add_parser("points", help="nuclear points and spatiality")
+
+def _points_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lattice", required=True)
     p.set_defaults(func=_cmd_points)
 
-    p = sub.add_parser("space", help="summary of a finite topological space")
+
+def _space_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--space", required=True, help="space JSON (path or inline)")
     p.set_defaults(func=_cmd_space)
 
-    p = sub.add_parser("check", help="run verification suites on one model")
+
+def _check_args(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--lattice")
     group.add_argument("--space")
@@ -365,13 +368,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("sweep", help="run a suite over every instance of a size")
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("kind", choices=("posets", "topologies"))
     p.add_argument("--n", type=_size, required=True)
     p.add_argument("--suite", required=True)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("export-dot", help="emit a DOT drawing")
+
+def _export_dot_args(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--poset")
     group.add_argument("--lattice")
@@ -387,12 +392,49 @@ def build_parser() -> argparse.ArgumentParser:
         help="node to shade; for --what dual, the element whose point set is shaded",
     )
     p.set_defaults(func=_cmd_export_dot)
+
+
+# verb -> (help line, argument adder), in the order the help lists them
+_VERBS = {
+    "dual": ("dual space of a finite lattice", _dual_args),
+    "assembly": ("assembly frame of nuclei", _assembly_args),
+    "nuclei": ("enumerate all nuclei", _nuclei_args),
+    "points": ("nuclear points and spatiality", _points_args),
+    "space": ("summary of a finite topological space", _space_args),
+    "check": ("run verification suites on one model", _check_args),
+    "sweep": ("run a suite over every instance of a size", _sweep_args),
+    "export-dot": ("emit a DOT drawing", _export_dot_args),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="esakia",
+        description="Finite frames, nuclei, and Priestley duality workbench.",
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for verb, (help_text, add_args) in _VERBS.items():
+        add_args(sub.add_parser(verb, help=help_text))
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with only the named verb's parser, which reads its arguments
+    exactly as that verb's sub-parser of ``build_parser()`` does.  Anything
+    else, and any argument the verb leaves over, goes to the full tree, so
+    top-level help, usage and errors are argparse's own."""
+    if argv and argv[0] in _VERBS:
+        verb = argv[0]
+        parser = argparse.ArgumentParser(prog=f"esakia {verb}")
+        _VERBS[verb][1](parser)
+        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(verb=verb))
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except BoundSettingError as exc:

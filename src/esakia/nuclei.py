@@ -194,6 +194,7 @@ def make_v(lattice: FiniteLattice, a: int) -> Nucleus:
     return Nucleus(tuple(lattice.imp(a, x) for x in range(lattice.n)))
 
 
+@_memo("w", by=index)
 def make_w(lattice: FiniteLattice, a: int) -> Nucleus:
     return Nucleus(tuple(lattice.imp(lattice.imp(x, a), a) for x in range(lattice.n)))
 

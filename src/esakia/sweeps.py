@@ -13,14 +13,20 @@ from .duality import unit_counit_check
 from .errors import ModelError
 from .lattices import FiniteLattice, birkhoff_lattice
 from .nuclei import (
+    _packed_rows,
     assembly_frame,
     assembly_booleanization_check,
     enumerate_nuclei_oracle,
     is_assembly_boolean,
-    nucleus_leq,
     w_decomposition_check,
 )
-from .posets import FinitePoset, enumerate_posets, set_label
+from .posets import (
+    FinitePoset,
+    _inclusion_masks,
+    enumerate_posets,
+    inclusion_up_masks,
+    set_label,
+)
 from .spatial import (
     assembly_spatial_report,
     essential_primes_dual,
@@ -56,12 +62,11 @@ def _check_assembly(poset: FinitePoset, lattice: FiniteLattice) -> bool:
     oracle = enumerate_nuclei_oracle(lattice)
     if sorted(j.values for j in oracle) != sorted(j.values for j in asm.nuclei):
         return False
-    for i, ji in enumerate(asm.nuclei):
-        for k, jk in enumerate(asm.nuclei):
-            reverse = asm.sets[i] & asm.sets[k] == asm.sets[k]
-            if nucleus_leq(lattice, ji, jk) != reverse:
-                return False
-    return True
+    # row i of the pointwise order (j_i <= j_k iff the packed row of j_i is
+    # inside j_k's) against row i of reverse inclusion (sets[k] <= sets[i])
+    rows = _packed_rows(lattice)
+    pointwise = inclusion_up_masks([rows[j.values] for j in asm.nuclei])
+    return pointwise == _inclusion_masks(asm.sets)[1]
 
 
 def _check_wdecomp(poset: FinitePoset, lattice: FiniteLattice) -> bool:

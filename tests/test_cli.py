@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -192,14 +193,86 @@ def test_exit_code_usage():
     assert exc.value.code == 2
 
 
-def test_entry_point_subprocess():
+VERBS = ("dual", "assembly", "nuclei", "points", "space", "check", "sweep", "export-dot")
+CLI_TEXT = FIXTURES / "cli_text"
+
+# (golden file, argv, exit code, the stream that carries the text; the
+# other stream stays empty)
+TEXT_RUNS = [
+    ("help", ["--help"], 0, "out"),
+    *[(f"{verb}-help", [verb, "--help"], 0, "out") for verb in VERBS],
+    ("no-arguments", [], 2, "err"),
+    ("no-such-verb", ["no-such-verb"], 2, "err"),
+    ("help-before-verb", ["-h", "dual"], 0, "out"),
+    ("dashdash-before-verb", ["--", "dual", "--lattice", L3], 2, "err"),
+    ("leftover-argument", ["dual", "--lattice", L3, "--bogus"], 2, "err"),
+    ("missing-required", ["dual"], 2, "err"),
+    ("check-conflict", ["check", "--lattice", L3, "--space", SIER], 2, "err"),
+    ("export-dot-conflict", ["export-dot", "--lattice", L3, "--space", SIER], 2, "err"),
+    ("bad-what", ["export-dot", "--lattice", L3, "--what", "bogus"], 2, "err"),
+    ("bad-sweep-kind", ["sweep", "trees", "--n", "3", "--suite", "duality"], 2, "err"),
+    ("negative-n", ["sweep", "posets", "--n", "-1", "--suite", "duality"], 2, "err"),
+]
+
+
+@pytest.mark.parametrize("name,argv,code,stream", TEXT_RUNS, ids=[t[0] for t in TEXT_RUNS])
+def test_usage_help_and_error_text(capsys, monkeypatch, name, argv, code, stream):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == code
+    text = (CLI_TEXT / f"{name}.txt").read_text(encoding="utf-8")
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ((text, "") if stream == "out" else ("", text))
+
+
+def test_a_call_builds_only_the_parser_of_its_verb(capsys, monkeypatch):
+    built = []  # the prog of every parser built
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(2):  # nothing is kept between calls
+        built.clear()
+        assert cli.main(["dual", "--lattice", L3]) == 0
+        assert built == ["esakia dual"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        cli.main(["no-such-verb"])
+    assert len(built) == 1 + len(cli._VERBS)
+
+
+def test_main_dispatches_through_the_module_attribute(monkeypatch):
+    calls = []
+
+    def stub(args):
+        calls.append(args.lattice)
+        return 7
+
+    monkeypatch.setattr(cli, "_cmd_dual", stub)
+    assert cli.main(["dual", "--lattice", L3]) == 7
+    assert cli.build_parser().parse_args(["dual", "--lattice", L3]).func is stub
+    assert calls == [L3]
+
+
+@pytest.mark.parametrize(
+    "argv,code,expect",
+    [
+        (["nuclei", "--lattice", L3, "--count"], 0, lambda out: out == "4\n"),
+        (["--help"], 0, lambda out: out.startswith("usage: esakia")),
+        (["no-such-verb"], 2, lambda out: out == ""),
+    ],
+    ids=["nuclei-count", "help", "no-such-verb"],
+)
+def test_entry_point_subprocess(argv, code, expect):
     proc = subprocess.run(
-        [sys.executable, "-m", "esakia", "nuclei", "--lattice", L3, "--count"],
-        capture_output=True,
-        text=True,
+        [sys.executable, "-m", "esakia", *argv], capture_output=True, text=True
     )
-    assert proc.returncode == 0
-    assert proc.stdout == "4\n"
+    assert proc.returncode == code
+    assert expect(proc.stdout)
 
 
 GOLDEN_RUNS = [

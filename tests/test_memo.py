@@ -51,6 +51,7 @@ MEMOS = [
     (lattices.meet_primes, "meet_primes", frame, None),
     (lattices.points, "points", frame, None),
     (nuclei._packed_rows, "nucleus_rows", frame, None),
+    (nuclei.make_w, "w", frame, lambda _: 0),
     (nuclei._down_closures, "down_closures", dual, None),
     (nuclei.to_nuclear_set, "to_nuclear_set", dual, nucleus_on),
     (nuclei.from_nuclear_set, "from_nuclear_set", dual, lambda _: 0b101),

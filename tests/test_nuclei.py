@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from esakia import nuclei
+from esakia import nuclei, sweeps
 from esakia.duality import dual_space, phi, phi_inverse
 from esakia.errors import NucleusError, SizeBoundError, SubsetError
 from esakia.lattices import (
@@ -550,3 +550,16 @@ def test_nucleus_leq_is_the_pointwise_order():
                 for y in tables:
                     want = all(lat.leq(a, b) for a, b in zip(x, y))
                     assert nucleus_leq(lat, nuclei.Nucleus(x), nuclei.Nucleus(y)) == want
+
+
+def test_assembly_sweep_check_fails_on_one_flipped_bit_of_a_packed_row(monkeypatch):
+    poset = FinitePoset(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    lat = birkhoff_lattice(poset)
+    assert sweeps._check_assembly(poset, lat)
+    rows = nuclei._packed_rows(lat)
+    flipped = {j.values: rows[j.values] for j in assembly_frame(lat).nuclei}
+    # every nucleus sends the top to the top, so with one bit of that field
+    # gone the top nucleus is no longer above the others
+    flipped[top_nucleus(lat).values] ^= 1 << lat.top * lat.base.n
+    monkeypatch.setattr(sweeps, "_packed_rows", lambda lattice: flipped)
+    assert not sweeps._check_assembly(poset, lat)
