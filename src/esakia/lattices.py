@@ -24,7 +24,10 @@ The lattices derived here and elsewhere (upsets, opens, assemblies,
 booleanizations, fixpoint frames, regular closed sets) reach the
 constructor as inclusion orders on a family of sets, built by
 ``FinitePoset.of_family``; (a) and (b) still run on each of them, so
-every lattice is validated on its own route.  JSON lattices enter
+every lattice is validated on its own route.  A family of elements of a
+lattice (regular elements, fixpoints of a nucleus) is given by their
+Birkhoff masks, which (a) makes an order embedding: |J| bits per set
+instead of the n bits of a down-mask.  JSON lattices enter
 through the pair constructor ``FinitePoset``.
 
 Failures are named by one report, ``_order_report``, in one wording.
@@ -54,7 +57,6 @@ from dataclasses import dataclass
 from .errors import LatticeError, PosetError
 from .posets import (
     FinitePoset,
-    _join_rows,
     _memo,
     _read_order_json,
     _transpose,
@@ -408,13 +410,6 @@ class Filter:
     members: int
 
 
-def _principal_completely_prime(lattice: FiniteLattice, g: int) -> bool:
-    """up(g) is completely prime iff g is not below the join of the
-    elements outside up(g): its Birkhoff mask is not inside their union."""
-    poset, up = lattice.poset, lattice.upset_of
-    return up[g] & ~_join_rows(up, poset.full_mask & ~poset.up_mask(g)) != 0
-
-
 def prime_filters(lattice: FiniteLattice) -> list[Filter]:
     """All prime filters, as principal filters at the join-irreducibles.
 
@@ -428,16 +423,38 @@ def prime_filters(lattice: FiniteLattice) -> list[Filter]:
     return [Filter(g, up(g)) for g in iter_bits(join_irreducibles(lattice))]
 
 
+def _completely_prime_mask(lattice: FiniteLattice) -> int:
+    """Mask of the g whose principal filter up(g) is completely prime, by
+    the column-wise test of ``completely_prime_filters``.  The bottom never
+    passes: its filter holds every element, so the join is the bottom's."""
+    up, birkhoff = lattice.poset._up, lattice.upset_of
+    holders = _transpose(birkhoff, lattice.base.n)
+    out = 0
+    for g, mine in enumerate(birkhoff):
+        outside = ~up[g]
+        join = 0
+        for p, h in enumerate(holders):
+            if h & outside:
+                join |= 1 << p
+        if mine & ~join:
+            out |= 1 << g
+    return out
+
+
 def completely_prime_filters(lattice: FiniteLattice) -> list[Filter]:
     """All completely prime filters, by the complement-join test over every
-    proper principal filter (no irreducibility shortcut)."""
+    proper principal filter (no irreducibility shortcut): up(g) is
+    completely prime iff g is not below the join of the elements outside
+    up(g), i.e. g's Birkhoff mask is not inside the union of theirs.
+
+    That union is built column by column.  With holders[p] the elements
+    whose Birkhoff mask holds p (one transpose of the masks for the whole
+    lattice), bit p of the union is set iff holders[p] & ~up(g) is
+    nonzero, so the test costs O(n*|J|) per lattice, not n folds of up to
+    n masks.
+    """
     up = lattice.poset.up_mask
-    return [
-        Filter(g, up(g))
-        for g in range(lattice.n)
-        if g != lattice.bot  # the improper filter
-        and _principal_completely_prime(lattice, g)
-    ]
+    return [Filter(g, up(g)) for g in iter_bits(_completely_prime_mask(lattice))]
 
 
 @_memo("points")
@@ -565,7 +582,7 @@ def booleanization(lattice: FiniteLattice) -> Booleanization:
         image_mask |= 1 << a
     sub = FiniteLattice(
         FinitePoset.of_family(
-            [lattice.labels[a] for a in reg], [lattice.poset.down_mask(a) for a in reg]
+            [lattice.labels[a] for a in reg], [lattice.upset_of[a] for a in reg]
         )
     )
     if not is_boolean(sub):

@@ -460,7 +460,7 @@ def fixpoint_frame(lattice: FiniteLattice, j: Nucleus) -> FiniteLattice:
     fix = [a for a in range(lattice.n) if j.values[a] == a]
     sub = FiniteLattice(
         FinitePoset.of_family(
-            [lattice.labels[a] for a in fix], [lattice.poset.down_mask(a) for a in fix]
+            [lattice.labels[a] for a in fix], [lattice.upset_of[a] for a in fix]
         )
     )
     for i, x in enumerate(fix):

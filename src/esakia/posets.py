@@ -18,12 +18,13 @@ Conventions used by the whole package:
 * The converse of a relation given by rows is ``_transpose``, and the
   Hasse covers of a strict relation are ``_cover_masks``.  Down-masks,
   the holders of a family, phi, the neighbourhood filters of a space and
-  the Birkhoff masks of a lattice are all transposes; ``covers``, the
+  the Birkhoff masks of a lattice and their holders in the completely
+  prime filter test are all transposes; ``covers``, the
   solid edges of ``space_dot`` and the irreducibles of N(L) are all
   cover masks.  The union and the intersection of the rows that a mask
-  selects are ``_join_rows`` and ``_meet_rows``: ``_cover_masks``,
+  selects are ``_join_rows`` and ``_meet_rows``: ``_cover_masks`` and
   ``down_closure`` (so the Heyting implication of the dual space and
-  ``neg``) and the completely prime filter test join rows;
+  ``neg``) join rows;
   ``inclusion_up_masks``, ``_extensions`` and the nucleus values of
   ``enumerate_nuclei_oracle`` meet them.
 * Masks and pairs enter through ``FinitePoset.from_up_masks``, which
@@ -557,13 +558,20 @@ def _heights(up: Sequence[int], down: Sequence[int]) -> list[int]:
     Strict dominance keeps this well-founded on preorders as well."""
     strict = [d & ~u for u, d in zip(up, down)]
     h = [0] * len(up)
+    left = list(range(len(up)))
     rest = (1 << len(up)) - 1
     height = 0
-    while rest:
-        layer = [i for i in iter_bits(rest) if not strict[i] & rest]
-        for i in layer:
-            h[i] = height
-            rest ^= 1 << i
+    while left:
+        layer = 0
+        keep = []
+        for i in left:
+            if strict[i] & rest:
+                keep.append(i)
+            else:
+                h[i] = height
+                layer |= 1 << i
+        rest ^= layer
+        left = keep
         height += 1
     return h
 

@@ -7,6 +7,7 @@ from esakia import duality, lattices
 from esakia.duality import dual_space, upset_algebra
 from esakia.errors import LatticeError, PosetError
 from esakia.lattices import (
+    Booleanization,
     FiniteLattice,
     birkhoff_lattice,
     booleanization,
@@ -252,12 +253,22 @@ def literal_principal_completely_prime(lat: FiniteLattice, g: int) -> bool:
     return not lat.poset.leq_i(g, rest)
 
 
+def small_assemblies(max_n):
+    """The assembly lattice of the Birkhoff lattice of each poset with
+    n <= max_n: 2^k elements over k join-irreducibles."""
+    for n in range(max_n + 1):
+        for p in enumerate_posets(n):
+            yield assembly_frame(birkhoff_lattice(p)).lattice
+
+
 def test_completely_prime_test_matches_the_join_route():
-    for _, lat in reference_frames():
-        for g in range(lat.n):
-            assert lattices._principal_completely_prime(
-                lat, g
-            ) == literal_principal_completely_prime(lat, g)
+    lats = [lat for _, lat in reference_frames()] + list(small_assemblies(3))
+    assert len(lats) == 406 + 390 + 9
+    for lat in lats:
+        want = sum(
+            1 << g for g in range(lat.n) if literal_principal_completely_prime(lat, g)
+        )
+        assert lattices._completely_prime_mask(lat) == want
 
 
 def test_join_irreducibles_and_meet_primes_on_diamond():
@@ -311,6 +322,36 @@ def test_booleanization_of_three_chain_is_two():
     # double negation crushes the middle up to the top
     assert b.image_index[b.project[m]] == o
     assert b.image_index[b.project[z]] == z
+
+
+def down_mask_booleanization(lat: FiniteLattice) -> Booleanization:
+    """The literal route: the regular elements ordered by their ambient
+    down-masks, n bits per set."""
+    nn = [lat.neg(lat.neg(a)) for a in range(lat.n)]
+    reg = sorted(set(nn))
+    sub = FiniteLattice(
+        FinitePoset.of_family(
+            [lat.labels[a] for a in reg], [lat.poset.down_mask(a) for a in reg]
+        )
+    )
+    image_mask = sum(1 << a for a in reg)
+    project = tuple(reg.index(a) for a in nn)
+    return Booleanization(sub, image_mask, project, tuple(reg))
+
+
+def test_booleanization_matches_the_down_mask_route():
+    lats = [birkhoff_lattice(p) for n in range(5) for p in enumerate_posets(n)]
+    lats += small_assemblies(3)
+    assert len(lats) == 25 + 9
+    for lat in lats:
+        got, want = booleanization(lat), down_mask_booleanization(lat)
+        assert got.lattice.poset._up == want.lattice.poset._up
+        assert got.lattice.labels == want.lattice.labels
+        assert (got.image_mask, got.project, got.image_index) == (
+            want.image_mask,
+            want.project,
+            want.image_index,
+        )
 
 
 def test_complements():

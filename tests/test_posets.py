@@ -636,6 +636,29 @@ def scan_heights(up, down):
     return h
 
 
+def longest_chain_heights(up, down):
+    """The literal definition: the number of steps in the longest strict
+    chain ending at each point, found by trying every chain."""
+    strict = [d & ~u for u, d in zip(up, down)]
+
+    def longest(i):
+        return max((1 + longest(j) for j in iter_bits(strict[i])), default=0)
+
+    return [longest(i) for i in range(len(up))]
+
+
+def test_heights_match_the_longest_chain_count():
+    # every poset with n <= 5, and the specialization preorders of the
+    # 4-point spaces, which are not antisymmetric
+    orders = [p._up for n in range(6) for p in enumerate_posets(n)]
+    orders += [s.specialization() for s in enumerate_topologies(4)]
+    assert len(orders) == 1 + 1 + 2 + 5 + 16 + 63 + 355
+    for up in orders:
+        down = _transpose(up, len(up))
+        assert _heights(up, down) == longest_chain_heights(up, down)
+        assert _heights(down, up) == longest_chain_heights(down, up)
+
+
 def scan_invariants(up, down):
     """The literal oracle: base invariants of the neighbours, sorted."""
     n = len(up)

@@ -2,6 +2,7 @@ import itertools
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from esakia import spaces, sweeps
 from esakia.duality import EsakiaSpaceFin, dual_space, phi_table
@@ -17,7 +18,7 @@ from esakia.nuclei import (
     to_nuclear_set,
     top_nucleus,
 )
-from esakia.posets import FinitePoset, iter_bits
+from esakia.posets import FinitePoset, iter_bits, set_label
 from esakia.spaces import (
     FiniteSpace,
     PointClassification,
@@ -73,6 +74,44 @@ def test_validation_rejects_broken_families():
         FiniteSpace.from_json_dict({"points": ["a", "a"], "opens": [[], ["a"]]})
     with pytest.raises(SpaceError):
         FiniteSpace.from_json_dict({"points": ["a"], "opens": [[], ["z"]]})
+
+
+def ordered_pair_scan(points, opens):
+    """The literal closure check: every ordered pair of the sorted opens,
+    union before intersection; the first failure as (type, message)."""
+    opens = sorted(set(opens))
+    for u in opens:
+        for v in opens:
+            for op, name, sign in ((int.__or__, "union", "|"), (int.__and__, "intersection", "&")):
+                if op(u, v) not in opens:
+                    return SpaceError, (
+                        f"opens not closed under {name}: "
+                        f"{set_label(points, u)} {sign} {set_label(points, v)}"
+                    )
+    return None
+
+
+@st.composite
+def families(draw):
+    """Up to 4 points and any family of their subsets holding the empty
+    set and the whole space, so only the pair scan can reject it."""
+    n = draw(st.integers(0, 4))
+    full = (1 << n) - 1
+    family = draw(st.lists(st.integers(0, full), max_size=1 << n))
+    return "abcd"[:n], family + [0, full]
+
+
+@given(families())
+@example(("abc", [0, 1, 2, 7]))  # fails first at the partner right after {a}
+def test_pair_scan_matches_the_ordered_pair_scan(case):
+    points, family = case
+    try:
+        FiniteSpace(points, family)
+    except Exception as exc:  # the type is part of what is compared
+        got = (type(exc), str(exc))
+    else:
+        got = None
+    assert got == ordered_pair_scan(points, family)
 
 
 def test_json_round_trip():
