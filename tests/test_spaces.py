@@ -82,12 +82,11 @@ def ordered_pair_scan(points, opens):
     opens = sorted(set(opens))
     for u in opens:
         for v in opens:
-            for op, name, sign in ((int.__or__, "union", "|"), (int.__and__, "intersection", "&")):
-                if op(u, v) not in opens:
-                    return SpaceError, (
-                        f"opens not closed under {name}: "
-                        f"{set_label(points, u)} {sign} {set_label(points, v)}"
-                    )
+            pair = (set_label(points, u), set_label(points, v))
+            if u | v not in opens:
+                return SpaceError, "opens not closed under union: %s | %s" % pair
+            if u & v not in opens:
+                return SpaceError, "opens not closed under intersection: %s & %s" % pair
     return None
 
 
