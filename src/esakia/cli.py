@@ -42,7 +42,6 @@ from .spatial import (
     join_primes_of_assembly,
     nuclear_points,
 )
-from .sweeps import run_poset_suite, run_topology_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -284,10 +283,9 @@ def _size(text: str) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.kind == "posets":
-        summary = run_poset_suite(args.n, args.suite)
-    else:
-        summary = run_topology_suite(args.n, args.suite)
+    from .sweeps import run_sweep  # runtime import; sweeps loads spaces
+
+    summary = run_sweep(args.kind, args.n, args.suite)
     _emit(_report_json(summary))
     return EXIT_OK if summary.ok else 1
 
@@ -370,7 +368,9 @@ def _check_args(p: argparse.ArgumentParser) -> None:
 
 
 def _sweep_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("kind", choices=("posets", "topologies"))
+    from .sweeps import KINDS
+
+    p.add_argument("kind", choices=tuple(KINDS))
     p.add_argument("--n", type=_size, required=True)
     p.add_argument("--suite", required=True)
     p.set_defaults(func=_cmd_sweep)

@@ -58,11 +58,11 @@ from .errors import LatticeError, PosetError
 from .posets import (
     FinitePoset,
     _memo,
+    _meet_rows,
     _read_order_json,
     _transpose,
     _upsets,
     down_closure,
-    inclusion_up_masks,
     iter_bits,
     set_label,
     upset_masks,
@@ -142,7 +142,8 @@ class FiniteLattice:
         irr = [a for a in range(n) if poset.down_mask(a) & ~(1 << a) in principal]
 
         # upset_of[a]: bit k set iff irr[k] <= a
-        upset_of = _transpose([poset.up_mask(x) for x in irr], n)
+        irr_up = [poset.up_mask(x) for x in irr]
+        upset_of = _transpose(irr_up, n)
         # the base orders irr reversed: x's up-mask is the irr below it
         base = FinitePoset.from_up_masks(
             [poset.elements[a] for a in irr], [upset_of[a] for a in irr]
@@ -150,9 +151,11 @@ class FiniteLattice:
 
         # Birkhoff, conditions (a) and (b) of the module docstring: an order
         # embedding into the upsets of base, which number exactly n; the
-        # empty order fails (b), as its empty base has one upset
+        # empty order fails (b), as its empty base has one upset.  In (a),
+        # the elements above every irr[k] in upset_of[a] are those above a
+        full = (1 << n) - 1
         if (
-            inclusion_up_masks(upset_of) != list(poset._up)
+            any(_meet_rows(irr_up, m, full) != u for m, u in zip(upset_of, poset._up))
             or len(_upsets(base._up, n)) != n
         ):
             raise LatticeError("; ".join(_order_report(poset).problems))

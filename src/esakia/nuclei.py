@@ -22,9 +22,9 @@ which meet and join are & and |.
   join-irreducible form a principal filter (or none).  Only a table
   that splits a meet is scanned pair by pair, by ``_first_split_meet``,
   for the witness the report names.
-* ``nucleus_leq`` compares packed rows of Birkhoff masks, and
-  ``nuclei_meet``, the iteration route of ``nuclei_join`` and the tables
-  of the NextClosure oracle take & and | of Birkhoff masks.
+* ``nucleus_leq`` and ``w_decomposition_check`` read packed rows of
+  Birkhoff masks; ``nuclei_meet``, the iteration route of ``nuclei_join``
+  and the NextClosure oracle's tables take & and | of Birkhoff masks.
 """
 
 from __future__ import annotations
@@ -473,10 +473,14 @@ def fixpoint_frame(lattice: FiniteLattice, j: Nucleus) -> FiniteLattice:
 
 
 def w_decomposition_check(lattice: FiniteLattice, j: Nucleus) -> bool:
-    """Is j the meet of the w nuclei at its fixpoints?"""
-    fix = [a for a in range(lattice.n) if j.values[a] == a]
-    met = nuclei_meet(lattice, [make_w(lattice, a) for a in fix])
-    return met.values == j.values
+    """Is j the meet of the w nuclei at its fixpoints?  Packed rows are
+    injective and & of rows is the row of the pointwise meet."""
+    rows = _packed_rows(lattice)
+    met = rows[(lattice.top,) * lattice.n]
+    for a, v in enumerate(j.values):
+        if v == a:
+            met &= rows[make_w(lattice, a).values]
+    return met == rows[j.values]
 
 
 # -- booleanness of the assembly ----------------------------------------------

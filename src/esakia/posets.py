@@ -24,8 +24,8 @@ Conventions used by the whole package:
   cover masks.  The union and the intersection of the rows that a mask
   selects are ``_join_rows`` and ``_meet_rows``: ``_cover_masks`` and
   ``down_closure`` (so the Heyting implication of the dual space and
-  ``neg``) join rows;
-  ``inclusion_up_masks``, ``_extensions`` and the nucleus values of
+  ``neg``) join rows; ``inclusion_up_masks``, ``_extensions``, the
+  order-embedding test of ``FiniteLattice`` and the nucleus values of
   ``enumerate_nuclei_oracle`` meet them.
 * Masks and pairs enter through ``FinitePoset.from_up_masks``, which
   checks reflexivity, transitivity and antisymmetry of the masks it is
@@ -738,12 +738,17 @@ def _poset_reps(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(seen))
 
 
-def enumerate_posets(n: int) -> list[FinitePoset]:
-    """All posets on n elements up to isomorphism, deterministically ordered."""
+def _posets(n: int) -> Iterator[FinitePoset]:
+    """``enumerate_posets`` one poset at a time; the size is checked at the call."""
     if n < 0:
         raise ValueError(f"{n} is not a non-negative integer")
     cap = poset_bound()
     if n > cap:
         raise SizeBoundError(f"enumerate_posets({n}) exceeds bound {cap}")
     labels = [f"p{i}" for i in range(n)]
-    return [FinitePoset.from_up_masks(labels, up) for up in _poset_reps(n)]
+    return (FinitePoset.from_up_masks(labels, up) for up in _poset_reps(n))
+
+
+def enumerate_posets(n: int) -> list[FinitePoset]:
+    """All posets on n elements up to isomorphism, deterministically ordered."""
+    return list(_posets(n))

@@ -19,6 +19,7 @@ isolated ones and dispersed spaces the weakly scattered ones.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -478,11 +479,10 @@ def is_weakly_scattered(space: FiniteSpace) -> bool:
     return _scatter_flags(space)[1]
 
 
-def is_dispersed(space: FiniteSpace) -> bool:
-    """Every nonempty closed subspace has a detached point.  Detached
-    points are the weakly isolated ones on a finite space (see
-    ``_classify_points``), so this is weak scatteredness."""
-    return _scatter_flags(space)[1]
+# dispersed: every nonempty closed subspace has a detached point.  On a
+# finite space the detached points are the weakly isolated ones (see
+# ``_classify_points``), so dispersed is weakly scattered by definition.
+is_dispersed = is_weakly_scattered
 
 
 def is_t_d(space: FiniteSpace) -> bool:
@@ -796,6 +796,27 @@ def regular_closed(space: FiniteSpace) -> tuple[int, ...]:
     )
 
 
+def _topologies(n: int) -> Iterator[FiniteSpace]:
+    """The spaces of ``enumerate_topologies``, each built when it is asked
+    for.  A level holds one family mask per preorder, and each parent's
+    opens are read back off its mask to grow the next level."""
+    if n < 0:
+        raise ValueError(f"{n} is not a non-negative integer")
+    cap = topology_bound()
+    if n > cap:
+        raise SizeBoundError(f"topology enumeration refused for {n} points (bound {cap})")
+    level = [1]  # the family holding only the empty open
+    for k in range(n):
+        level = [
+            sum(1 << m for m in _opens_with_point(opens, k, below, above))
+            for opens in (list(iter_bits(family)) for family in level)
+            for below, above in _extensions(opens, k, antisymmetric=False)
+        ]
+    level.sort()
+    pts = [str(i) for i in range(n)]
+    return (FiniteSpace(pts, iter_bits(family)) for family in level)
+
+
 def enumerate_topologies(n: int) -> list[FiniteSpace]:
     """All labeled topologies on points 0..n-1, in ascending order of the
     family mask (the sum of 2^m over the opens m).
@@ -808,18 +829,4 @@ def enumerate_topologies(n: int) -> list[FiniteSpace]:
     the old ones through ``posets._opens_with_point``.  So the work follows
     the output, not the 2^(2^n) set families.
     """
-    if n < 0:
-        raise ValueError(f"{n} is not a non-negative integer")
-    cap = topology_bound()
-    if n > cap:
-        raise SizeBoundError(f"topology enumeration refused for {n} points (bound {cap})")
-    level = [[0]]
-    for k in range(n):
-        level = [
-            _opens_with_point(opens, k, below, above)
-            for opens in level
-            for below, above in _extensions(opens, k, antisymmetric=False)
-        ]
-    level.sort(key=lambda opens: sum(1 << m for m in opens))
-    pts = [str(i) for i in range(n)]
-    return [FiniteSpace(pts, opens) for opens in level]
+    return list(_topologies(n))

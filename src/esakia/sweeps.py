@@ -1,14 +1,16 @@
 """Named invariant suites run over every instance of a given size.
 
-Each suite returns a summary with pass/fail counts and the first failing
-instance, so exhaustive checks stay reportable from the command line and
-reusable from the test suite.
+``run_sweep`` runs a suite of any kind in ``KINDS`` through one loop.
+Instances stream from the generators beneath ``enumerate_posets`` and
+``enumerate_topologies``, so a sweep holds one instance, with its
+caches, at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import spaces
 from .duality import unit_counit_check
 from .errors import ModelError
 from .lattices import FiniteLattice, birkhoff_lattice
@@ -23,7 +25,7 @@ from .nuclei import (
 from .posets import (
     FinitePoset,
     _inclusion_masks,
-    enumerate_posets,
+    _posets,
     inclusion_up_masks,
     set_label,
 )
@@ -33,7 +35,7 @@ from .spatial import (
     join_primes_of_assembly,
 )
 
-__all__ = ["SweepSummary", "run_poset_suite", "run_topology_suite", "POSET_SUITES", "TOPOLOGY_SUITES"]
+__all__ = ["SweepSummary", "run_sweep", "KINDS", "POSET_SUITES", "TOPOLOGY_SUITES"]
 
 
 @dataclass(frozen=True)
@@ -98,49 +100,23 @@ POSET_SUITES = {
 }
 
 
-def run_poset_suite(n: int, suite: str) -> SweepSummary:
-    """Run a suite over every poset isomorphism class of the given size,
-    checking the frame of its upsets."""
-    try:
-        check = POSET_SUITES[suite]
-    except KeyError:
-        raise ModelError(
-            f"unknown poset suite {suite!r}; choose from {sorted(POSET_SUITES)}"
-        ) from None
-    instances = passes = 0
-    first = None
-    for poset in enumerate_posets(n):
-        instances += 1
-        if check(poset, birkhoff_lattice(poset)):
-            passes += 1
-        elif first is None:
-            first = f"poset #{instances - 1}: covers {sorted(poset.covers())}"
-    return SweepSummary("posets", n, suite, instances, passes, instances - passes, first)
-
-
 def _topo_simmons(space) -> bool:
-    from .spaces import simmons_isbell_report
-
-    return simmons_isbell_report(space).ok
+    return spaces.simmons_isbell_report(space).ok
 
 
 def _topo_sober(space) -> bool:
-    from .spaces import is_sober, soberification
-
-    sob = soberification(space)
+    sob = spaces.soberification(space)
     return (
         sob.open_frame_iso
         and sob.matches_t0_reflection
-        and is_sober(space) == space.is_t0()
+        and spaces.is_sober(space) == space.is_t0()
     )
 
 
 def _topo_scatter(space) -> bool:
-    from .spaces import is_scattered_all_subsets, scatter_report
-
-    report = scatter_report(space)  # raises on any broken exchange law
+    report = spaces.scatter_report(space)  # raises on any broken exchange law
     return (
-        report.scattered == is_scattered_all_subsets(space)
+        report.scattered == spaces.is_scattered_all_subsets(space)
         and report.scattered == report.t0
     )
 
@@ -152,26 +128,41 @@ TOPOLOGY_SUITES = {
 }
 
 
-def run_topology_suite(n: int, suite: str) -> SweepSummary:
-    """Run a suite over every labeled topology on n points."""
-    from .spaces import enumerate_topologies
+# kind -> (noun, suite table, the argument tuples of its checks at size n,
+# label of a failing instance from its index and those arguments)
+KINDS = {
+    "posets": (
+        "poset",
+        POSET_SUITES,
+        lambda n: ((poset, birkhoff_lattice(poset)) for poset in _posets(n)),
+        lambda i, poset, _: f"poset #{i}: covers {sorted(poset.covers())}",
+    ),
+    "topologies": (
+        "topology",
+        TOPOLOGY_SUITES,
+        lambda n: ((space,) for space in spaces._topologies(n)),
+        lambda _, space: f"opens {[set_label(space.points, m) for m in space.opens]}",
+    ),
+}
 
+
+def run_sweep(kind: str, n: int, suite: str) -> SweepSummary:
+    """Run a suite over every instance of a kind of size n: posets up to
+    isomorphism, each on the frame of its upsets, or labeled topologies.
+    The suite is looked up before any instance is made."""
+    noun, suites, instances, label = KINDS[kind]
     try:
-        check = TOPOLOGY_SUITES[suite]
+        check = suites[suite]
     except KeyError:
         raise ModelError(
-            f"unknown topology suite {suite!r}; choose from {sorted(TOPOLOGY_SUITES)}"
+            f"unknown {noun} suite {suite!r}; choose from {sorted(suites)}"
         ) from None
-    instances = passes = 0
+    count = passes = 0
     first = None
-    spaces = enumerate_topologies(n)
-    for i, space in enumerate(spaces):
-        spaces[i] = None  # let each space and its caches go once it is checked
-        instances += 1
-        if check(space):
+    for args in instances(n):
+        if check(*args):
             passes += 1
         elif first is None:
-            first = f"opens {[set_label(space.points, m) for m in space.opens]}"
-    return SweepSummary(
-        "topologies", n, suite, instances, passes, instances - passes, first
-    )
+            first = label(count, *args)
+        count += 1
+    return SweepSummary(kind, n, suite, count, passes, count - passes, first)

@@ -41,7 +41,7 @@ from esakia.spatial import (
     join_primes_of_assembly,
     nuclear_points,
 )
-from esakia.sweeps import run_topology_suite
+from esakia.sweeps import run_sweep
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -186,7 +186,7 @@ def test_criterion_08_simmons_isbell_sweep(report):
     total = 0
     for n in range(1, 5):
         for suite in ("simmons", "sober", "scatter"):
-            summary = run_topology_suite(n, suite)
+            summary = run_sweep("topologies", n, suite)
             ok = ok and summary.ok
             if suite == "simmons":
                 total += summary.instances

@@ -715,21 +715,29 @@ def test_enumeration_matches_preorder_count():
     assert count == len(found) == len(made) and found == set(made)
 
 
-def test_topology_sweep_lets_each_space_go_before_checking_it(monkeypatch):
+def test_topology_sweep_builds_each_space_only_when_it_is_checked(monkeypatch):
     # a checked space keeps its caches (open frame, dual, assembly), so a
-    # sweep that held every space would grow with all of them
-    made = enumerate_topologies(3)
-    monkeypatch.setattr(spaces, "enumerate_topologies", lambda n: made)
-    still_held = []
+    # sweep that built every space first would hold all of them at once
+    built = 0
+    init = FiniteSpace.__init__
+
+    def counting(self, points_seq, opens_seq):
+        nonlocal built
+        built += 1
+        init(self, points_seq, opens_seq)
+
+    monkeypatch.setattr(FiniteSpace, "__init__", counting)
+    built_when_checked = []
 
     def check(space):
-        still_held.append(any(s is space for s in made))
+        built_when_checked.append(built)
         return True
 
     monkeypatch.setitem(sweeps.TOPOLOGY_SUITES, "scatter", check)
-    summary = sweeps.run_topology_suite(3, "scatter")
+    summary = sweeps.run_sweep("topologies", 3, "scatter")
     assert summary.instances == summary.passes == 29
-    assert still_held == [False] * 29
+    assert len(built_when_checked) == 29
+    assert all(b <= i + 1 for i, b in enumerate(built_when_checked))
 
 
 def test_enumeration_bound():
