@@ -4,9 +4,10 @@ Every verb reads models as JSON, either from a file path or inline (an
 argument starting with ``{`` or ``[`` is parsed as JSON directly), and
 writes deterministic JSON or DOT to stdout.  Exit codes: 0 success,
 2 usage error (including an ``ESAKIA_*`` bound that is not a non-negative
-integer), 3 unreadable or malformed JSON, 4 invalid model, 5 size bound
-exceeded.  A call builds only the parser of the verb it names, and the
-full parser tree only for top-level help and usage errors.
+integer, and a ``check`` flag for the other kind of model), 3 unreadable
+or malformed JSON, 4 invalid model, 5 size bound exceeded.  A call
+builds only the parser of the verb it names, and the full parser tree
+only for top-level help and usage errors.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ from .lattices import (
     lattice_from_json_dict,
 )
 from .nuclei import (
+    _every_nucleus_w_decomposes,
     assembly_frame,
     assembly_booleanization_check,
     enumerate_nuclei_oracle,
     is_assembly_boolean,
     nucleus_to_json_dict,
     tower,
-    w_decomposition_check,
 )
 from .posets import FinitePoset, iter_bits
 from .spatial import (
@@ -48,6 +49,10 @@ EXIT_USAGE = 2
 EXIT_BAD_JSON = 3
 EXIT_BAD_MODEL = 4
 EXIT_BOUND = 5
+
+# the flags of ``check`` for each kind of model
+_LATTICE_CHECKS = ("duality", "boolean", "spatial", "wdecomp", "tower")
+_SPACE_CHECKS = ("simmons", "compactification")
 
 
 def _load_json(arg: str):
@@ -201,11 +206,7 @@ def _cmd_space(args) -> int:
 
 def _check_lattice(args) -> dict:
     lat = _lattice_arg(args.lattice)
-    wanted = {
-        name
-        for name in ("duality", "boolean", "spatial", "wdecomp", "tower")
-        if getattr(args, name)
-    }
+    wanted = {name for name in _LATTICE_CHECKS if getattr(args, name)}
     if not wanted:
         wanted = {"duality", "boolean", "spatial", "wdecomp"}
     checks: dict[str, dict] = {}
@@ -234,8 +235,7 @@ def _check_lattice(args) -> dict:
             "ok": rep.ok and jp.ok and gr.ok and essential,
         }
     if "wdecomp" in wanted:
-        ok = all(w_decomposition_check(lat, j) for j in enumerate_nuclei_oracle(lat))
-        checks["wdecomp"] = {"ok": ok}
+        checks["wdecomp"] = {"ok": _every_nucleus_w_decomposes(lat)}
     if "tower" in wanted:
         result = tower(lat)
         checks["tower"] = _report_json(result)
@@ -250,9 +250,7 @@ def _check_space(args) -> dict:
     from .spaces import compactification_check, simmons_isbell_report
 
     space = _space_arg(args.space)
-    wanted = {name for name in ("simmons", "compactification") if getattr(args, name)}
-    if not wanted:
-        wanted = {"simmons", "compactification"}
+    wanted = {name for name in _SPACE_CHECKS if getattr(args, name)} or set(_SPACE_CHECKS)
     checks: dict[str, dict] = {}
     if "simmons" in wanted:
         rep = simmons_isbell_report(space)
@@ -269,9 +267,15 @@ def _check_space(args) -> dict:
 
 def _cmd_check(args) -> int:
     if args.lattice is not None:
-        out = _check_lattice(args)
+        model, other = "lattice", _SPACE_CHECKS
     else:
-        out = _check_space(args)
+        model, other = "space", _LATTICE_CHECKS
+    stray = [name for name in other if getattr(args, name)]
+    if stray:
+        parser = argparse.ArgumentParser(prog="esakia check")
+        _check_args(parser)
+        parser.error(f"argument --{stray[0]}: not allowed with argument --{model}")
+    out = _check_lattice(args) if model == "lattice" else _check_space(args)
     _emit(out)
     return EXIT_OK if out["ok"] else 1
 
@@ -358,7 +362,7 @@ def _check_args(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--lattice")
     group.add_argument("--space")
-    for flag in ("duality", "boolean", "spatial", "wdecomp", "tower"):
+    for flag in _LATTICE_CHECKS:
         p.add_argument(f"--{flag}", action="store_true", help=f"lattice: {flag} checks")
     p.add_argument("--simmons", action="store_true", help="space: scatter and nucleus checks")
     p.add_argument(

@@ -483,6 +483,11 @@ def w_decomposition_check(lattice: FiniteLattice, j: Nucleus) -> bool:
     return met == rows[j.values]
 
 
+def _every_nucleus_w_decomposes(lattice: FiniteLattice) -> bool:
+    """``w_decomposition_check`` on every nucleus the oracle lists."""
+    return all(w_decomposition_check(lattice, j) for j in enumerate_nuclei_oracle(lattice))
+
+
 # -- booleanness of the assembly ----------------------------------------------
 
 

@@ -35,9 +35,11 @@ Conventions used by the whole package:
   the same checks.
 * An order is extended by one point in one place: ``_opens_with_point``
   grows the upsets, ``_upsets`` lists those of a preorder point by point,
-  and ``_extensions`` yields every way to place a new point.  Posets,
-  topologies (``spaces.enumerate_topologies``), ``upset_masks`` and
-  ``FiniteSpace.from_preorder`` all grow through them.
+  and ``_extensions`` yields every way to place a new point in a preorder
+  (topologies, ``upset_masks``, ``FiniteSpace.from_preorder``).  Posets
+  grow by a new maximal point above the complement of each upset of a
+  representative, which reaches every class: every poset is a smaller
+  poset plus a maximal point.
 * Isomorphisms of orders and of specialization preorders are searched
   by ``_relation_isomorphism``, which takes the up- and down-masks of
   both relations, so callers hand in the down-masks they already hold.
@@ -527,14 +529,13 @@ def _upsets(up: Sequence[int], cap: int | None = None) -> list[int]:
     return opens
 
 
-def _extensions(opens: Sequence[int], k: int, antisymmetric: bool) -> Iterator[tuple[int, int]]:
+def _extensions(opens: Sequence[int], k: int) -> Iterator[tuple[int, int]]:
     """Every (below, above) pair that places a new point k on the preorder
     on points 0..k-1 whose upsets are opens.
 
     below is the complement of an upset (a downset), above an upset under
     every point of below, which is exactly what keeps the extension
-    transitive; with antisymmetric set the two are disjoint, so k is
-    equivalent to no old point.
+    transitive; points in both become equivalent to k.
     """
     full = (1 << k) - 1
     # minimal[x]: the smallest upset holding x, the points above x, is the
@@ -542,8 +543,7 @@ def _extensions(opens: Sequence[int], k: int, antisymmetric: bool) -> Iterator[t
     minimal = [_meet_rows(opens, h, full) for h in _transpose(opens, k)]
     for v in opens:
         below = full & ~v
-        # above misses below, so lies in v, when antisymmetric is set
-        common = _meet_rows(minimal, below, v if antisymmetric else full)
+        common = _meet_rows(minimal, below, full)
         for above in opens:
             if not above & ~common:
                 yield below, above
@@ -681,10 +681,8 @@ def _group_perms(groups: list[list[int]], n: int) -> Iterator[tuple[int, ...]]:
     def rec(gi: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
         if gi == len(groups):
             perm = [0] * n
-            pos = 0
-            for old in acc:
+            for pos, old in enumerate(acc):
                 perm[old] = pos
-                pos += 1
             yield tuple(perm)
             return
         for variant in permutations(groups[gi]):
@@ -721,20 +719,20 @@ def _canonical(up: tuple[int, ...]) -> tuple[int, ...]:
 def _poset_reps(n: int) -> tuple[tuple[int, ...], ...]:
     """Canonical up-mask tuples, one per isomorphism class of n-posets.
 
-    Grows representatives one element at a time: a new top-labeled element
-    k is glued onto each smaller representative at every antisymmetric
-    ``_extensions`` pair, and the result is kept in ``_canonical`` form.
+    Grows representatives one element at a time: a new maximal element k
+    goes above the points outside each upset of each smaller
+    representative, and the result is kept in ``_canonical`` form.  Every
+    class is reached, as an n-poset less a maximal point m is isomorphic
+    to a representative, which takes the points below m to a downset.
     """
     if n == 0:
         return ((),)
-    k = n - 1
-    bit = 1 << k
+    bit = 1 << n - 1
     seen: set[tuple[int, ...]] = set()
-    for up in _poset_reps(k):
-        for below, above in _extensions(_upsets(up), k, antisymmetric=True):
-            new_up = [m | bit if below >> i & 1 else m for i, m in enumerate(up)]
-            new_up.append(bit | above)
-            seen.add(_canonical(tuple(new_up)))
+    for up in _poset_reps(n - 1):
+        for v in _upsets(up):
+            new_up = [m if v >> i & 1 else m | bit for i, m in enumerate(up)]
+            seen.add(_canonical((*new_up, bit)))
     return tuple(sorted(seen))
 
 

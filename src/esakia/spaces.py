@@ -810,7 +810,7 @@ def _topologies(n: int) -> Iterator[FiniteSpace]:
         level = [
             sum(1 << m for m in _opens_with_point(opens, k, below, above))
             for opens in (list(iter_bits(family)) for family in level)
-            for below, above in _extensions(opens, k, antisymmetric=False)
+            for below, above in _extensions(opens, k)
         ]
     level.sort()
     pts = [str(i) for i in range(n)]
@@ -823,10 +823,12 @@ def enumerate_topologies(n: int) -> list[FiniteSpace]:
 
     A finite topology is the family of upsets of its specialization
     preorder, so the topologies on n points are the labeled preorders
-    (OEIS A000798).  They are grown one point at a time, as posets are: each
-    preorder on points 0..k-1 takes the new point k at every pair that
+    (OEIS A000798).  They are grown one point at a time: each preorder on
+    points 0..k-1 takes the new point k at every pair that
     ``posets._extensions`` reads off its opens, and the new opens come from
     the old ones through ``posets._opens_with_point``.  So the work follows
-    the output, not the 2^(2^n) set families.
+    the output, not the 2^(2^n) set families.  (Posets up to isomorphism
+    need only a new maximal point over each upset, as every poset is a
+    smaller poset plus a maximal point.)
     """
     return list(_topologies(n))

@@ -15,12 +15,12 @@ from .duality import unit_counit_check
 from .errors import ModelError
 from .lattices import FiniteLattice, birkhoff_lattice
 from .nuclei import (
+    _every_nucleus_w_decomposes,
     _packed_rows,
     assembly_frame,
     assembly_booleanization_check,
     enumerate_nuclei_oracle,
     is_assembly_boolean,
-    w_decomposition_check,
 )
 from .posets import (
     FinitePoset,
@@ -72,9 +72,7 @@ def _check_assembly(poset: FinitePoset, lattice: FiniteLattice) -> bool:
 
 
 def _check_wdecomp(poset: FinitePoset, lattice: FiniteLattice) -> bool:
-    return all(
-        w_decomposition_check(lattice, j) for j in enumerate_nuclei_oracle(lattice)
-    )
+    return _every_nucleus_w_decomposes(lattice)
 
 
 def _check_spatial(poset: FinitePoset, lattice: FiniteLattice) -> bool:

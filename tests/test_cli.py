@@ -208,6 +208,8 @@ TEXT_RUNS = [
     ("leftover-argument", ["dual", "--lattice", L3, "--bogus"], 2, "err"),
     ("missing-required", ["dual"], 2, "err"),
     ("check-conflict", ["check", "--lattice", L3, "--space", SIER], 2, "err"),
+    ("check-space-flag-on-lattice", ["check", "--lattice", L3, "--simmons"], 2, "err"),
+    ("check-lattice-flag-on-space", ["check", "--space", SIER, "--tower"], 2, "err"),
     ("export-dot-conflict", ["export-dot", "--lattice", L3, "--space", SIER], 2, "err"),
     ("bad-what", ["export-dot", "--lattice", L3, "--what", "bogus"], 2, "err"),
     ("bad-sweep-kind", ["sweep", "trees", "--n", "3", "--suite", "duality"], 2, "err"),
@@ -273,6 +275,21 @@ def test_entry_point_subprocess(argv, code, expect):
     )
     assert proc.returncode == code
     assert expect(proc.stdout)
+
+
+def test_the_wdecomp_check_loads_neither_sweeps_nor_spaces():
+    script = (
+        "import sys; from esakia import cli; cli.main(sys.argv[1:]); "
+        "print(sorted({'esakia.spaces', 'esakia.sweeps'} & set(sys.modules)), file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "check", "--lattice", L3, "--wdecomp"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["checks"] == {"wdecomp": {"ok": True}}
+    assert proc.stderr == "[]\n"
 
 
 GOLDEN_RUNS = [

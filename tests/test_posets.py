@@ -284,20 +284,36 @@ def test_upset_cap_counts_the_output_not_the_carrier():
     )
 
 
+def grow_at_every_position(level, k, antisymmetric):
+    """The canonical forms of every order on points 0..k that puts the new
+    point k at an ``_extensions`` pair of an order in level; antisymmetric
+    keeps only the pairs that make k equivalent to no old point."""
+    grown = set()
+    for up in level:
+        for below, above in _extensions(_upsets(up), k):
+            if antisymmetric and below & above:
+                continue
+            new_up = [m | 1 << k if below >> i & 1 else m for i, m in enumerate(up)]
+            grown.add(_canonical((*new_up, 1 << k | above)))
+    return grown
+
+
 def test_preorder_growth_counts_the_preorder_classes():
-    # the same grower without antisymmetry gives the preorders up to
-    # isomorphism, OEIS A001930
+    # the preorders up to isomorphism, OEIS A001930
     level = {()}
     counts = [1]
     for k in range(5):
-        grown = set()
-        for up in level:
-            for below, above in _extensions(_upsets(up), k, antisymmetric=False):
-                new_up = [m | 1 << k if below >> i & 1 else m for i, m in enumerate(up)]
-                grown.add(_canonical((*new_up, 1 << k | above)))
-        level = grown
+        level = grow_at_every_position(level, k, antisymmetric=False)
         counts.append(len(level))
     assert counts == [1, 1, 3, 9, 33, 139]
+
+
+def test_growth_by_a_maximal_point_matches_growth_at_every_position():
+    # the oracle grows its own levels, putting the new point anywhere
+    level = {()}
+    for n in range(1, 7):
+        level = grow_at_every_position(level, n - 1, antisymmetric=True)
+        assert tuple(sorted(level)) == _poset_reps(n)
 
 
 @given(posets())
@@ -698,3 +714,10 @@ def test_poset_representatives_keep_their_order():
     # messages all depend on this order
     reps = repr([_poset_reps(n) for n in range(7)])
     assert hashlib.sha1(reps.encode()).hexdigest()[:12] == "1ae673f3094f"
+
+
+def test_seven_point_representatives_keep_their_order():
+    # 2,045 classes, OEIS A000112
+    reps = _poset_reps(7)
+    assert len(reps) == 2045
+    assert hashlib.sha1(repr(reps).encode()).hexdigest()[:12] == "bab599d9ff8b"
