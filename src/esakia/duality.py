@@ -3,6 +3,16 @@
 A finite lattice's dual space carries the discrete (Stone/Priestley)
 topology, so every subset is clopen and the whole structure is the poset
 of prime filters under inclusion.
+
+Each dual space holds one down-closure table (``_DownClosures``, memoised
+under ``"down_closures"``), filled on demand one mask at a time and so
+holding at most 2^|X| masks.  It serves the two readings of the Esakia
+formula phi(a->b) = X - down(phi(a) - phi(b)): ``heyting_imp_mask`` and
+the checks of ``upset_algebra`` and ``unit_counit_check`` on one side,
+``nuclei.from_nuclear_set`` on the other.  Those two users are never
+compared with each other; each is compared with a route inside the
+lattice, the sup-based implication table (``FiniteLattice._imp_table``)
+for the first and the NextClosure oracle for the second.
 """
 
 from __future__ import annotations
@@ -17,7 +27,6 @@ from .posets import (
     FinitePoset,
     _memo,
     _transpose,
-    down_closure,
     find_isomorphism,
     upset_masks,
 )
@@ -100,12 +109,40 @@ def phi_inverse(space: EsakiaSpaceFin, mask: int) -> int:
         raise LatticeError(f"mask {mask:#x} is not the image of a lattice element") from None
 
 
+class _DownClosures(dict):
+    """Down-closures in a poset, keyed by mask and filled on demand: the
+    closure of a mask is the closure of the mask without its lowest
+    point, OR'd with that point's down-mask."""
+
+    def __init__(self, down: Sequence[int]):
+        super().__init__({0: 0})
+        self.down = down
+
+    def __missing__(self, mask: int) -> int:
+        low = mask & -mask
+        out = self[mask] = self[mask ^ low] | self.down[low.bit_length() - 1]
+        return out
+
+
+@_memo("down_closures")
+def _down_closures(space: EsakiaSpaceFin) -> _DownClosures:
+    return _DownClosures(space.poset._down)
+
+
+def _imp_row(space: EsakiaSpaceFin, u: int, targets: Sequence[int]) -> list[int]:
+    """``heyting_imp_mask(space, u, v)`` for each v in targets, unchecked."""
+    closures = _down_closures(space)
+    full = space.poset.full_mask
+    return [full & ~closures[u & ~v] for v in targets]
+
+
 def heyting_imp_mask(space: EsakiaSpaceFin, u: int, v: int) -> int:
-    """Implication of clopen upsets: drop the down-closure of u minus v."""
+    """Implication of clopen upsets: drop the down-closure of u minus v,
+    read from the space's down-closure table."""
     p = space.poset
     p.check_mask(u)
     p.check_mask(v)
-    return p.full_mask & ~down_closure(p, u & ~v)
+    return _imp_row(space, u, (v,))[0]
 
 
 def upset_algebra(space: EsakiaSpaceFin) -> FiniteLattice:
@@ -121,13 +158,14 @@ def upset_algebra(space: EsakiaSpaceFin) -> FiniteLattice:
 def _upset_algebra(space: EsakiaSpaceFin, masks: Sequence[int]) -> FiniteLattice:
     """``upset_algebra`` on the upsets of the space, already listed."""
     lat = _upset_lattice(space.poset, masks)
-    for i in range(lat.n):
-        for j in range(lat.n):
-            formula = heyting_imp_mask(space, masks[i], masks[j])
-            if formula != masks[lat.imp(i, j)]:
-                raise LatticeError(
-                    f"implication formula disagrees with sup definition at ({i},{j})"
-                )
+    for i, row in enumerate(lat._imp_table()):
+        formula = _imp_row(space, masks[i], masks)
+        sup = [masks[k] for k in row]
+        if sup != formula:
+            j = next(j for j, (f, m) in enumerate(zip(formula, sup)) if f != m)
+            raise LatticeError(
+                f"implication formula disagrees with sup definition at ({i},{j})"
+            )
     return lat
 
 
@@ -165,14 +203,16 @@ def unit_counit_check(lattice: FiniteLattice) -> DualityReport:
     meet_ok = True
     join_ok = True
     imp_ok = True
-    for a in range(lattice.n):
-        for b in range(lattice.n):
-            if table[lattice.meet(a, b)] != table[a] & table[b]:
-                meet_ok = False
-            if table[lattice.join(a, b)] != table[a] | table[b]:
-                join_ok = False
-            if table[lattice.imp(a, b)] != heyting_imp_mask(space, table[a], table[b]):
-                imp_ok = False
+    # row a of each operation, read on the Birkhoff masks against phi
+    upset_of, of_mask = lattice.upset_of, lattice.of_mask
+    for a, row in enumerate(lattice._imp_table()):
+        mine, ta = upset_of[a], table[a]
+        if [table[of_mask[mine & u]] for u in upset_of] != [ta & t for t in table]:
+            meet_ok = False
+        if [table[of_mask[mine | u]] for u in upset_of] != [ta | t for t in table]:
+            join_ok = False
+        if [table[x] for x in row] != _imp_row(space, ta, table):
+            imp_ok = False
         if not (meet_ok and join_ok and imp_ok):
             break
 

@@ -57,6 +57,7 @@ from dataclasses import dataclass
 from .errors import LatticeError, PosetError
 from .posets import (
     FinitePoset,
+    _join_rows,
     _memo,
     _meet_rows,
     _read_order_json,
@@ -380,24 +381,26 @@ def join_irreducibles(lattice: FiniteLattice) -> int:
 
 @_memo("meet_primes")
 def meet_primes(lattice: FiniteLattice) -> int:
-    """Mask of p (top excluded) with a*b <= p implying a <= p or b <= p."""
+    """Mask of p (top excluded) with a*b <= p implying a <= p or b <= p.
+
+    On the Birkhoff masks a*b <= p iff b's mask misses upset_of[a] &
+    ~upset_of[p], the join-irreducibles below a and not below p.  With
+    holders[k] the elements whose mask holds k, the b with a*b <= p are
+    the complement of the join of the holders of those irreducibles, and
+    p is meet-prime iff for each a not below p they all lie below p.
+    """
+    birkhoff = lattice.upset_of
+    holders = _transpose(birkhoff, lattice.base.n)
+    full = lattice.poset.full_mask
+    down = lattice.poset._down
     out = 0
-    n = lattice.n
-    meet_t = lattice.meet_t
-    for p in range(n):
+    for p, mp in enumerate(birkhoff):
         if p == lattice.top:
             continue
-        good = True
-        for a in range(n):
-            if lattice.poset.leq_i(a, p):
-                continue
-            for b in range(n):
-                if lattice.poset.leq_i(meet_t[a][b], p) and not lattice.poset.leq_i(b, p):
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
+        outside = full & ~down[p]
+        if all(
+            outside & ~_join_rows(holders, ma & ~mp) == 0 for ma in birkhoff if ma & ~mp
+        ):
             out |= 1 << p
     return out
 
@@ -493,12 +496,10 @@ def is_spatial(lattice: FiniteLattice) -> tuple[bool, tuple[str, str] | None]:
 
 
 def dense_above(lattice: FiniteLattice, a: int) -> list[int]:
-    """Elements d >= a with d -> a == a."""
-    return [
-        d
-        for d in range(lattice.n)
-        if lattice.poset.leq_i(a, d) and lattice.imp(d, a) == a
-    ]
+    """Elements d >= a with d -> a == a: column a of the implication
+    table, read over the up-mask of a."""
+    table = lattice._imp_table()
+    return [d for d in iter_bits(lattice.poset.up_mask(a)) if table[d][a] == a]
 
 
 def smallest_dense(lattice: FiniteLattice, a: int) -> int | None:
@@ -515,11 +516,13 @@ def is_scattered_frame(lattice: FiniteLattice) -> bool:
 
 
 def min_primes(lattice: FiniteLattice, a: int) -> int:
-    """Mask of minimal meet-primes above a."""
-    above = [p for p in iter_bits(meet_primes(lattice)) if lattice.poset.leq_i(a, p)]
+    """Mask of minimal meet-primes above a: those p among them whose
+    down-mask meets the others in p alone."""
+    above = meet_primes(lattice) & lattice.poset.up_mask(a)
+    down = lattice.poset._down
     out = 0
-    for p in above:
-        if not any(q != p and lattice.poset.leq_i(q, p) for q in above):
+    for p in iter_bits(above):
+        if down[p] & above == 1 << p:
             out |= 1 << p
     return out
 

@@ -15,8 +15,10 @@ which meet and join are & and |.
 * ``to_nuclear_set`` is full & ~OR_a (phi(j(a)) ^ phi(a)): the points
   that no a moves in or out of their filter.
 * ``from_nuclear_set`` reads phi(j(a)) as the complement of the
-  down-closure of mask - phi(a), from down-closures memoised on the dual
-  space and filled on demand (``_DownClosures``).
+  down-closure of mask - phi(a), from the dual space's one down-closure
+  table (``duality._down_closures``), which the Heyting formula of
+  ``duality`` reads too.  The nucleus tables are compared with the
+  NextClosure oracle, never with that formula.
 * ``validate_nucleus`` decides the three axioms by subset tests and by
   ``_preserves_meets``, which asks that the elements sent above each
   join-irreducible form a principal filter (or none).  Only a table
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter, index
 
 from .bounds import assembly_bound, oracle_bound
-from .duality import EsakiaSpaceFin, _phi_lookup, dual_space, phi_table
+from .duality import EsakiaSpaceFin, _down_closures, _phi_lookup, dual_space, phi_table
 from .errors import NucleusError, SizeBoundError
 from .lattices import (
     FiniteLattice,
@@ -257,26 +259,6 @@ def to_nuclear_set(space: EsakiaSpaceFin, j: Nucleus) -> int:
     for v, t in zip(j.values, table):
         moved |= table[v] ^ t
     return space.poset.full_mask & ~moved
-
-
-class _DownClosures(dict):
-    """Down-closures in a poset, keyed by mask and filled on demand: the
-    closure of a mask is the closure of the mask without its lowest
-    point, OR'd with that point's down-mask."""
-
-    def __init__(self, down: Sequence[int]):
-        super().__init__({0: 0})
-        self.down = down
-
-    def __missing__(self, mask: int) -> int:
-        low = mask & -mask
-        out = self[mask] = self[mask ^ low] | self.down[low.bit_length() - 1]
-        return out
-
-
-@_memo("down_closures")
-def _down_closures(space: EsakiaSpaceFin) -> _DownClosures:
-    return _DownClosures(space.poset._down)
 
 
 @_memo("from_nuclear_set", by=index)

@@ -19,14 +19,17 @@ Conventions used by the whole package:
   Hasse covers of a strict relation are ``_cover_masks``.  Down-masks,
   the holders of a family, phi, the neighbourhood filters of a space and
   the Birkhoff masks of a lattice and their holders in the completely
-  prime filter test are all transposes; ``covers``, the
-  solid edges of ``space_dot`` and the irreducibles of N(L) are all
+  prime filter test and ``meet_primes`` are all transposes; ``covers``,
+  the solid edges of ``space_dot`` and the irreducibles of N(L) are all
   cover masks.  The union and the intersection of the rows that a mask
-  selects are ``_join_rows`` and ``_meet_rows``: ``_cover_masks`` and
-  ``down_closure`` (so the Heyting implication of the dual space and
-  ``neg``) join rows; ``inclusion_up_masks``, ``_extensions``, the
+  selects are ``_join_rows`` and ``_meet_rows``: ``_cover_masks``,
+  ``down_closure`` (so ``neg``) and ``meet_primes``, over those holders,
+  join rows; ``inclusion_up_masks``, ``_extensions``, the
   order-embedding test of ``FiniteLattice`` and the nucleus values of
-  ``enumerate_nuclei_oracle`` meet them.
+  ``enumerate_nuclei_oracle`` meet them.  The Heyting implication of a
+  dual space and ``from_nuclear_set`` read instead the one down-closure
+  table of that space (``duality._down_closures``), which builds each
+  closure from the closure of the mask without its lowest point.
 * Masks and pairs enter through ``FinitePoset.from_up_masks``, which
   checks reflexivity, transitivity and antisymmetry of the masks it is
   given.  Label pairs come only from JSON input, ``chain``/``antichain``

@@ -414,6 +414,13 @@ def front_topology(space: FiniteSpace) -> FiniteSpace:
     return FiniteSpace(space.points, _front_opens(space.opens))
 
 
+@_memo("front_sets")
+def _front_sets(space: FiniteSpace) -> tuple[frozenset[int], frozenset[int]]:
+    """The front-open and the front-closed sets, for membership tests."""
+    front = front_topology(space)
+    return frozenset(front.opens), frozenset(front.closed_masks())
+
+
 @dataclass(frozen=True)
 class PointClassification:
     isolated: bool
@@ -539,7 +546,7 @@ def sigma(space: FiniteSpace, j: Nucleus) -> int:
     out = 0
     for a, u in enumerate(space.opens):
         out |= space.opens[j.values[a]] & ~u
-    if out not in set(front_topology(space).opens):
+    if out not in _front_sets(space)[0]:
         raise SpaceError("sigma produced a set that is not front-open")  # unreachable
     return out
 
@@ -563,8 +570,7 @@ def delta(space: FiniteSpace, nuclear_mask: int) -> int:
     """Preimage of a nuclear set under eps; front-closed."""
     dual_space(open_frame(space)).poset.check_mask(nuclear_mask)
     out = preimage_mask(nuclear_mask, _eps_to_dual(space))
-    front = front_topology(space)
-    if out not in set(front.closed_masks()):
+    if out not in _front_sets(space)[1]:
         raise SpaceError("delta produced a set that is not front-closed")  # unreachable
     return out
 
@@ -739,8 +745,8 @@ def simmons_isbell_report(space: FiniteSpace) -> SimmonsIsbellReport:
     nucs = enumerate_nuclei_oracle(frame)
     sigmas = [sigma(space, j) for j in nucs]
     sig_inj = len(set(sigmas)) == len(nucs)
-    front = front_topology(space)
-    sig_onto = set(sigmas) == set(front.opens)
+    front_open, front_closed = _front_sets(space)
+    sig_onto = set(sigmas) == front_open
     hom = sigma(space, identity_nucleus(frame)) == 0
     hom = hom and sigma(space, top_nucleus(frame)) == space.full_mask
     join_irr, meet_irr = _irreducible_nuclei(nucs)
@@ -752,7 +758,6 @@ def simmons_isbell_report(space: FiniteSpace) -> SimmonsIsbellReport:
             hom = False
     deltas = {m: delta(space, m) for m in asm.sets}
     del_inj = len(set(deltas.values())) == len(asm.sets)
-    front_closed = set(front.closed_masks())
     del_onto = set(deltas.values()) == front_closed
     full = dual.poset.full_mask
     del_hom = all(

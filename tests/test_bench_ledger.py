@@ -89,3 +89,23 @@ def test_committed_ledger_rows_have_the_builders_schema():
         for row in rows:
             assert shape(row) == want
             assert row["workload"] == workload and row["pairs"] == len(row["seeds"])
+
+
+def test_each_run_compiles_from_an_empty_bytecode_cache(monkeypatch, tmp_path):
+    # the parent export has no __pycache__ and the working tree has one;
+    # neither may be read, and no run may leave bytecode for the next
+    seen = []
+
+    def fake_run(argv, cwd, env, capture_output, text):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((env["PYTHONDONTWRITEBYTECODE"], prefix, list(prefix.iterdir())))
+        return ledger.subprocess.CompletedProcess(argv, 0, run_stdout(1.0), "")
+
+    monkeypatch.setattr(ledger.subprocess, "run", fake_run)
+    for _ in range(2):
+        got = ledger.run_once(tmp_path, "poset-sweep", 1, 0.1)
+        assert got["metrics"]["wall_s"]["value"] == 1.0
+    assert [(flag, files) for flag, _, files in seen] == [("1", []), ("1", [])]
+    prefixes = [prefix for _, prefix, _ in seen]
+    assert prefixes[0] != prefixes[1]
+    assert not any(p.exists() or p.is_relative_to(tmp_path) for p in prefixes)

@@ -11,9 +11,15 @@ from esakia.duality import (
     upset_algebra,
 )
 from esakia.lattices import birkhoff_lattice, lattice_from_json_dict
-from esakia.posets import FinitePoset, enumerate_posets, find_isomorphism, upset_masks
+from esakia.posets import (
+    FinitePoset,
+    down_closure,
+    enumerate_posets,
+    find_isomorphism,
+    upset_masks,
+)
 
-from conftest import posets
+from conftest import posets, reference_frames
 
 
 def lat3():
@@ -95,3 +101,49 @@ def test_a_round_trip_lists_the_upsets_of_the_dual_once(monkeypatch):
         monkeypatch.setattr(module, "upset_masks", counting)
     assert unit_counit_check(lat).ok
     assert sizes == [4]
+
+
+def pair_loop_imp(space, u: int, v: int) -> int:
+    """The Heyting formula with the down-closure of u - v walked afresh."""
+    p = space.poset
+    return p.full_mask & ~down_closure(p, u & ~v)
+
+
+def pair_loop_flags(lat) -> tuple[bool, bool, bool]:
+    """Whether phi preserves meet, join and implication, pair by pair
+    through the lattice's methods and ``pair_loop_imp``."""
+    space = dual_space(lat)
+    table = phi_table(space)
+    pairs = [(a, b) for a in range(lat.n) for b in range(lat.n)]
+    return (
+        all(table[lat.meet(a, b)] == table[a] & table[b] for a, b in pairs),
+        all(table[lat.join(a, b)] == table[a] | table[b] for a, b in pairs),
+        all(
+            table[lat.imp(a, b)] == pair_loop_imp(space, table[a], table[b])
+            for a, b in pairs
+        ),
+    )
+
+
+def test_the_down_closure_table_matches_the_per_pair_loop():
+    # on every reference frame: the flags of the round trip, the upset
+    # algebra (the Birkhoff lattice of the dual) when the dual has at most
+    # five points, and every pair of masks, upsets or not, on duals of at
+    # most four points
+    for _, lat in reference_frames():
+        space = dual_space(lat)
+        rep = unit_counit_check(lat)
+        assert rep.ok
+        assert (
+            rep.phi_preserves_meet, rep.phi_preserves_join, rep.phi_preserves_imp
+        ) == pair_loop_flags(lat)
+        ups = upset_masks(space.poset)
+        if space.n <= 5:
+            algebra = upset_algebra(space)
+            for i, u in enumerate(ups):
+                for j, v in enumerate(ups):
+                    assert ups[algebra.imp(i, j)] == pair_loop_imp(space, u, v)
+        masks = range(space.poset.full_mask + 1) if space.n <= 4 else ups
+        for u in masks:
+            for v in masks:
+                assert heyting_imp_mask(space, u, v) == pair_loop_imp(space, u, v)

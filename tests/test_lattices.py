@@ -637,3 +637,66 @@ def test_negation_on_the_masks_matches_the_implication_table():
     for _, lat in reference_frames():
         for a in range(lat.n):
             assert lat.neg(a) == lat.imp(a, lat.bot)
+
+
+def literal_meet_primes(lat: FiniteLattice) -> int:
+    """The triple loop: p (top excluded) such that a*b <= p forces a <= p
+    or b <= p, tested with ``leq_i`` on every pair (a, b)."""
+    out = 0
+    for p in range(lat.n):
+        if p == lat.top:
+            continue
+        good = True
+        for a in range(lat.n):
+            if lat.poset.leq_i(a, p):
+                continue
+            for b in range(lat.n):
+                if lat.poset.leq_i(lat.meet_t[a][b], p) and not lat.poset.leq_i(b, p):
+                    good = False
+                    break
+            if not good:
+                break
+        if good:
+            out |= 1 << p
+    return out
+
+
+def literal_min_primes(lat: FiniteLattice, primes: int, a: int) -> int:
+    """The meet-primes above a that have no other one of them below."""
+    above = [p for p in iter_bits(primes) if lat.poset.leq_i(a, p)]
+    out = 0
+    for p in above:
+        if not any(q != p and lat.poset.leq_i(q, p) for q in above):
+            out |= 1 << p
+    return out
+
+
+def literal_dense_above(lat: FiniteLattice, a: int) -> list[int]:
+    """Every d in the carrier with a <= d and d -> a == a, one by one."""
+    return [d for d in range(lat.n) if lat.poset.leq_i(a, d) and lat.imp(d, a) == a]
+
+
+def oracle_lattices():
+    """Every reference frame, then every lattice of ``small_lattices``:
+    the Birkhoff lattices of the posets with n <= 5, their order duals
+    and the open frames with n <= 3."""
+    yield from (lat for _, lat in reference_frames())
+    yield from small_lattices()
+
+
+def test_meet_primes_match_the_triple_loop():
+    for lat in oracle_lattices():
+        assert meet_primes(lat) == literal_meet_primes(lat)
+
+
+def test_min_primes_match_the_pair_loop():
+    for lat in oracle_lattices():
+        primes = literal_meet_primes(lat)
+        for a in range(lat.n):
+            assert min_primes(lat, a) == literal_min_primes(lat, primes, a)
+
+
+def test_dense_above_matches_the_carrier_scan():
+    for lat in oracle_lattices():
+        for a in range(lat.n):
+            assert dense_above(lat, a) == literal_dense_above(lat, a)

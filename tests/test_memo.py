@@ -45,6 +45,7 @@ MEMOS = [
     (duality.dual_space, "dual_space", frame, None),
     (duality.phi_table, "phi_table", dual, None),
     (duality._phi_lookup, "phi_inverse", dual, None),
+    (duality._down_closures, "down_closures", dual, None),
     (FiniteLattice.meet_t.fget, "meet_t", frame, None),
     (FiniteLattice.join_t.fget, "join_t", frame, None),
     (FiniteLattice._imp_table, "imp", frame, None),
@@ -52,7 +53,6 @@ MEMOS = [
     (lattices.points, "points", frame, None),
     (nuclei._packed_rows, "nucleus_rows", frame, None),
     (nuclei.make_w, "w", frame, lambda _: 0),
-    (nuclei._down_closures, "down_closures", dual, None),
     (nuclei.to_nuclear_set, "to_nuclear_set", dual, nucleus_on),
     (nuclei.from_nuclear_set, "from_nuclear_set", dual, lambda _: 0b101),
     (nuclei.assembly_frame, "assembly", frame, None),
@@ -65,6 +65,7 @@ MEMOS = [
     (spaces.t0_reflection, "t0_reflection", sierpinski, None),
     (spaces.soberification, "soberification", sierpinski, None),
     (spaces.front_topology, "front", sierpinski, None),
+    (spaces._front_sets, "front_sets", sierpinski, None),
     (spaces.sigma, "sigma", sierpinski, nucleus_on),
     (spaces._eps_to_dual, "eps_dual", sierpinski, None),
 ]

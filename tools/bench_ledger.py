@@ -7,9 +7,10 @@ Runs ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``,
 with T the ``run_seconds`` of ``BENCHMARK.json``, in at least ten
 alternating pairs: one run on REV, exported with ``git archive`` into a
 temporary directory, and one on the working tree of this checkout (the
-change).  The side that runs first alternates from pair to pair, so a
-drift of the host's speed hits both sides alike, and pair i runs seed
-S + i on both sides.  Nothing is fetched and nothing under ``.git`` is
+change).  Each run compiles every module from source: it writes no
+bytecode and reads none, from an empty cache of its own.  The side that
+runs first alternates from pair to pair, so a drift of the host's speed
+hits both sides alike, and pair i runs seed S + i on both sides.  Nothing is fetched and nothing under ``.git`` is
 written.
 
 For each workload one row is appended to ``BENCH_<workload>.json`` at the
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -57,11 +59,19 @@ def parse_result(stdout: str) -> dict:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in a checkout, with no bytecode read or written.
+
+    The parent side is a fresh export with no ``__pycache__`` while the
+    working tree has one, so each run gets an empty bytecode cache of its
+    own and writes none: both sides compile every module from source.
+    """
     argv = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": pycache}
+        done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
     if done.returncode not in (0, 1):  # 1: the run finished with failed ops
         raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {done.returncode}:\n"
                            f"{done.stderr}")
