@@ -61,6 +61,7 @@ from .posets import (
     _memo,
     _meet_rows,
     _read_order_json,
+    _relation_isomorphism,
     _transpose,
     _upsets,
     down_closure,
@@ -596,3 +597,18 @@ def booleanization(lattice: FiniteLattice) -> Booleanization:
     back = {a: i for i, a in enumerate(reg)}
     project = tuple(back[a] for a in nn)
     return Booleanization(sub, image_mask, project, tuple(reg))
+
+
+def _dually_isomorphic(a: FiniteLattice, b: FiniteLattice) -> bool:
+    """Whether a is isomorphic to the order dual of b, decided on the
+    join-irreducibles: |J| points per side instead of n.
+
+    Two finite distributive lattices are isomorphic iff their posets of
+    join-irreducibles are, and J(L^op) is isomorphic to J(L)^op (Davey and
+    Priestley, Introduction to Lattices and Order, 2nd ed., 2002, ch. 5),
+    so a is isomorphic to b^op iff J(a) is isomorphic to J(b)^op.  The
+    base orders the join-irreducibles reversed, so that is base(a) against
+    the order dual of base(b): b's down-masks serve as its up-masks.
+    Every FiniteLattice is distributive, validated on construction.
+    """
+    return _relation_isomorphism(a.base._up, a.base._down, b.base._down, b.base._up) is not None

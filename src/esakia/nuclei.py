@@ -41,6 +41,7 @@ from .errors import NucleusError, SizeBoundError
 from .lattices import (
     FiniteLattice,
     Booleanization,
+    _dually_isomorphic,
     booleanization,
     complement_of,
     is_boolean,
@@ -50,7 +51,6 @@ from .posets import (
     FinitePoset,
     _memo,
     _meet_rows,
-    _relation_isomorphism,
     image_mask,
     iter_bits,
     set_label,
@@ -511,7 +511,13 @@ class BooleanizationCheck:
 
 def assembly_booleanization_check(lattice: FiniteLattice) -> BooleanizationCheck:
     """The booleanization of the assembly against the regular closed sets,
-    compared through an order-reversing isomorphism."""
+    compared through an order-reversing isomorphism.
+
+    Both sides are built by their own routes as validated lattices, and
+    the isomorphism is decided on their join-irreducibles
+    (``lattices._dually_isomorphic``): k points per side for a k-point
+    dual space, not the 2^k elements of each lattice.
+    """
     from .spaces import regular_closed
 
     asm = assembly_frame(lattice)
@@ -520,10 +526,7 @@ def assembly_booleanization_check(lattice: FiniteLattice) -> BooleanizationCheck
     rc = sorted(regular_closed(disc))
     names = [set_label(asm.dual.poset.elements, m) for m in rc]
     rc_lattice = FiniteLattice(FinitePoset.of_family(names, rc))
-    bp = b.lattice.poset
-    rp = rc_lattice.poset
-    # the dual order of rp has rp's down-masks as its up-masks
-    dual_iso = _relation_isomorphism(bp._up, bp._down, rp._down, rp._up) is not None
+    dual_iso = _dually_isomorphic(b.lattice, rc_lattice)
     ok = dual_iso and b.lattice.n == rc_lattice.n
     return BooleanizationCheck(ok, b.lattice.n, rc_lattice.n, dual_iso)
 

@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from esakia import nuclei, sweeps
+from esakia import lattices, nuclei, spaces, sweeps
+from esakia import posets as posets_module
 from esakia.duality import dual_space, phi, phi_inverse
 from esakia.errors import NucleusError, SizeBoundError, SubsetError
 from esakia.lattices import (
@@ -428,6 +429,29 @@ def test_assembly_booleanness_reports():
     assert rep.ok and rep.agree and rep.direct_boolean
     check = assembly_booleanization_check(lat3())
     assert check.ok and check.dually_isomorphic
+
+
+def test_booleanization_isomorphism_searches_the_dual_points(monkeypatch):
+    # one search per check, on the k join-irreducibles of each side,
+    # never on the 2^k elements of the two lattices
+    lengths = []
+    search = posets_module._relation_isomorphism
+
+    def recording(*relations):
+        lengths.extend(len(r) for r in relations)
+        return search(*relations)
+
+    for mod in (posets_module, lattices, nuclei, spaces):
+        if hasattr(mod, "_relation_isomorphism"):
+            monkeypatch.setattr(mod, "_relation_isomorphism", recording)
+    frames = 0
+    for _, lat in reference_frames():
+        k = dual_space(lat).n
+        lengths.clear()
+        assert assembly_booleanization_check(lat).ok
+        assert lengths == [k] * 4
+        frames += 1
+    assert frames == 406 + 390
 
 
 def test_tower_on_three_chain():
