@@ -19,10 +19,12 @@ _DEFAULTS = {
     "ESAKIA_ORACLE_BOUND": 64,
     # largest n for enumerate_topologies(n): the 6,942 topologies on 5
     # points are enumerated in about 0.05 s, and a sweep over them takes
-    # about 12 s for simmons, 1.6 s for sober and 0.63 s for scatter
-    # (2-vCPU AMD EPYC, Python 3.11); the scatter sweep over the 209,527
-    # on 6 points takes 47-58 s at a peak RSS of 30 MB (2-vCPU Intel Xeon,
-    # Python 3.11.7)
+    # about 1.6 s for sober and 0.63 s for scatter (2-vCPU AMD EPYC,
+    # Python 3.11); simmons took a median of 21.7 s over six runs on a
+    # shared 2-vCPU Intel Xeon (Python 3.11.7), against 28.3 s there
+    # before its homomorphism checks moved to packed rows; the scatter
+    # sweep over the 209,527 on 6 points takes 47-58 s at a peak RSS of
+    # 30 MB (2-vCPU Intel Xeon, Python 3.11.7)
     "ESAKIA_TOPOLOGY_BOUND": 5,
     # largest dual-space size for building the assembly as a lattice
     "ESAKIA_ASSEMBLY_BOUND": 8,

@@ -7,7 +7,9 @@ upset_of[a] is the mask of the join-irreducibles below a, an upset of the
 base, and of_mask inverts that map.  Meet and join are & and | of these
 masks, the bottom and top are the empty and the full mask, a complement
 is the complement mask when that is an upset, and the pseudo-complement
-a->bot is the complement of the down-closure of a's mask.
+a->bot is the complement of the down-closure of a's mask.  The transpose
+of upset_of, holders[k], the elements above the k-th join-irreducible,
+is kept beside it.
 
 Construction checks two conditions in O(n*|J|):
 (a) a <= b iff upset_of[a] is a subset of upset_of[b], so a -> upset_of[a]
@@ -134,7 +136,7 @@ def _missing_bound(
 class FiniteLattice:
     """A finite bounded distributive lattice over an explicit order."""
 
-    __slots__ = ("poset", "bot", "top", "base", "upset_of", "of_mask", "_cache")
+    __slots__ = ("poset", "bot", "top", "base", "upset_of", "of_mask", "holders", "_cache")
 
     def __init__(self, poset: FinitePoset):
         n = poset.n
@@ -143,7 +145,8 @@ class FiniteLattice:
         principal = {poset.down_mask(g) for g in range(n)}
         irr = [a for a in range(n) if poset.down_mask(a) & ~(1 << a) in principal]
 
-        # upset_of[a]: bit k set iff irr[k] <= a
+        # irr_up[k]: the elements above irr[k], kept as holders;
+        # upset_of[a], its transpose: bit k set iff irr[k] <= a
         irr_up = [poset.up_mask(x) for x in irr]
         upset_of = _transpose(irr_up, n)
         # the base orders irr reversed: x's up-mask is the irr below it
@@ -169,6 +172,7 @@ class FiniteLattice:
         self.base = base
         self.upset_of = tuple(upset_of)
         self.of_mask = of_mask
+        self.holders = tuple(irr_up)
         self._cache = {}
 
     # -- basic structure -------------------------------------------------
@@ -390,8 +394,7 @@ def meet_primes(lattice: FiniteLattice) -> int:
     the complement of the join of the holders of those irreducibles, and
     p is meet-prime iff for each a not below p they all lie below p.
     """
-    birkhoff = lattice.upset_of
-    holders = _transpose(birkhoff, lattice.base.n)
+    birkhoff, holders = lattice.upset_of, lattice.holders
     full = lattice.poset.full_mask
     down = lattice.poset._down
     out = 0
@@ -435,12 +438,11 @@ def _completely_prime_mask(lattice: FiniteLattice) -> int:
     the column-wise test of ``completely_prime_filters``.  The bottom never
     passes: its filter holds every element, so the join is the bottom's."""
     up, birkhoff = lattice.poset._up, lattice.upset_of
-    holders = _transpose(birkhoff, lattice.base.n)
     out = 0
     for g, mine in enumerate(birkhoff):
         outside = ~up[g]
         join = 0
-        for p, h in enumerate(holders):
+        for p, h in enumerate(lattice.holders):
             if h & outside:
                 join |= 1 << p
         if mine & ~join:
@@ -455,10 +457,9 @@ def completely_prime_filters(lattice: FiniteLattice) -> list[Filter]:
     up(g), i.e. g's Birkhoff mask is not inside the union of theirs.
 
     That union is built column by column.  With holders[p] the elements
-    whose Birkhoff mask holds p (one transpose of the masks for the whole
-    lattice), bit p of the union is set iff holders[p] & ~up(g) is
-    nonzero, so the test costs O(n*|J|) per lattice, not n folds of up to
-    n masks.
+    whose Birkhoff mask holds p (kept by the lattice), bit p of the union
+    is set iff holders[p] & ~up(g) is nonzero, so the test costs O(n*|J|)
+    per lattice, not n folds of up to n masks.
     """
     up = lattice.poset.up_mask
     return [Filter(g, up(g)) for g in iter_bits(_completely_prime_mask(lattice))]

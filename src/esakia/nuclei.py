@@ -25,8 +25,14 @@ which meet and join are & and |.
   that splits a meet is scanned pair by pair, by ``_first_split_meet``,
   for the witness the report names.
 * ``nucleus_leq`` and ``w_decomposition_check`` read packed rows of
-  Birkhoff masks; ``nuclei_meet``, the iteration route of ``nuclei_join``
-  and the NextClosure oracle's tables take & and | of Birkhoff masks.
+  Birkhoff masks, j(0), j(1), ... side by side (``_packed_rows``).  Meets
+  and joins of nuclei are kernels on those rows: ``_meet_row`` is the &
+  of the rows, and ``_join_row`` reads the intersection of the nuclear
+  sets back through ``from_nuclear_set`` and checks it against the
+  iteration started from the | of the rows.  ``nuclei_meet`` and
+  ``nuclei_join`` are thin wrappers over them, and
+  ``spaces.simmons_isbell_report`` calls them on rows directly.  The
+  NextClosure oracle's tables take & of Birkhoff masks.
 """
 
 from __future__ import annotations
@@ -148,7 +154,7 @@ def _preserves_meets(lattice: FiniteLattice, values: Sequence[int]) -> bool:
     its members, whose Birkhoff mask holds bit k iff the set lies in
     holders[k], the elements above the k-th join-irreducible.
     """
-    holders = [lattice.poset.up_mask(lattice.of_mask[m]) for m in lattice.base._up]
+    holders = lattice.holders
     preimage: dict[int, int] = {}
     for a, v in enumerate(values):
         preimage[v] = preimage.get(v, 0) | 1 << a
@@ -212,19 +218,35 @@ def nucleus_leq(lattice: FiniteLattice, j: Nucleus, k: Nucleus) -> bool:
 class _PackedRows(dict):
     """Packed rows of value tables, keyed by the table and filled on
     demand: the Birkhoff masks of j(0), j(1), ... side by side, in fields
-    of |J| bits."""
+    of |J| bits.  ``pack`` computes a row without storing it and
+    ``unpack`` reads a row back into its table; ``top`` and ``identity``
+    are the rows of the top and of the identity nucleus."""
+
+    __slots__ = ("masks", "of_mask", "width", "field", "shifts", "top", "identity")
 
     def __init__(self, lattice: FiniteLattice):
         super().__init__()
         self.masks = lattice.upset_of
-        self.width = lattice.base.n
+        self.of_mask = lattice.of_mask
+        self.width = width = lattice.base.n
+        self.field = (1 << width) - 1
+        self.shifts = tuple(a * width for a in range(lattice.n))
+        self.top = (1 << lattice.n * width) - 1
+        self.identity = self.pack(range(lattice.n))
 
     def __missing__(self, values: tuple[int, ...]) -> int:
+        row = self[values] = self.pack(values)
+        return row
+
+    def pack(self, values: Sequence[int]) -> int:
         row = 0
         for a, v in enumerate(values):
             row |= self.masks[v] << a * self.width
-        self[values] = row
         return row
+
+    def unpack(self, row: int) -> tuple[int, ...]:
+        of_mask, field = self.of_mask, self.field
+        return tuple([of_mask[row >> s & field] for s in self.shifts])
 
 
 @_memo("nucleus_rows")
@@ -314,14 +336,21 @@ def assembly_frame(lattice: FiniteLattice) -> AssemblyFrame:
 # -- meets and joins of nuclei ------------------------------------------------
 
 
+def _meet_row(lattice: FiniteLattice, rows: Sequence[int]) -> int:
+    """The packed row of the pointwise meet of the nuclei with these
+    packed rows: the & of the rows, as & of Birkhoff masks is the meet;
+    the empty meet is the top nucleus."""
+    out = _packed_rows(lattice).top
+    for row in rows:
+        out &= row
+    return out
+
+
 def nuclei_meet(lattice: FiniteLattice, js: list[Nucleus]) -> Nucleus:
-    """Pointwise meet, the & of the Birkhoff masks; the empty meet is the
-    top nucleus."""
-    up = lattice.upset_of
-    masks = [up[lattice.top]] * lattice.n
-    for j in js:
-        masks = [m & up[v] for m, v in zip(masks, j.values)]
-    return Nucleus(tuple(map(lattice.of_mask.__getitem__, masks)))
+    """Pointwise meet (``_meet_row`` on the packed rows); the empty meet is
+    the top nucleus."""
+    packed = _packed_rows(lattice)
+    return Nucleus(packed.unpack(_meet_row(lattice, [packed.pack(j.values) for j in js])))
 
 
 def nuclear_sets_meet(space: EsakiaSpaceFin, masks: list[int]) -> int:
@@ -333,28 +362,43 @@ def nuclear_sets_meet(space: EsakiaSpaceFin, masks: list[int]) -> int:
     return out
 
 
-def nuclei_join(lattice: FiniteLattice, space: EsakiaSpaceFin, js: list[Nucleus]) -> Nucleus:
-    """Join of nuclei, computed dually and cross-checked by iteration.
+def _join_row(
+    lattice: FiniteLattice, space: EsakiaSpaceFin, inter: int, rows: Sequence[int]
+) -> int:
+    """The packed row of the join of the nuclei with these packed rows,
+    whose nuclear sets meet in inter, computed dually and cross-checked
+    by iteration.
 
-    The dual route intersects the nuclear sets; the oracle iterates the
-    pointwise-sup map to its fixpoint.  The two must agree.
+    The dual route reads the nucleus off the intersection of the nuclear
+    sets; the oracle starts from the pointwise sup, the | of the rows and
+    of the identity's, and iterates it to its fixpoint.  The two must
+    agree.
     """
-    inter = nuclear_sets_meet(space, [to_nuclear_set(space, j) for j in js])
-    primary = from_nuclear_set(space, inter)
-    up = lattice.upset_of
-    masks = list(up)
-    for j in js:
-        masks = [m | up[v] for m, v in zip(masks, j.values)]
-    g = tuple(map(lattice.of_mask.__getitem__, masks))
-    h = g
+    packed = _packed_rows(lattice)
+    primary = from_nuclear_set(space, inter).values
+    sup = packed.identity
+    for row in rows:
+        sup |= row
+    g = h = packed.unpack(sup)
     while True:
-        nxt = tuple(g[x] for x in h)
+        nxt = tuple(map(g.__getitem__, h))
         if nxt == h:
             break
         h = nxt
-    if h != primary.values:
+    if h != primary:
         raise NucleusError("join via nuclear sets disagrees with the iteration oracle")
-    return primary
+    # a sup that is its own fixpoint is the join, and its row is sup
+    return sup if h is g else packed.pack(h)
+
+
+def nuclei_join(lattice: FiniteLattice, space: EsakiaSpaceFin, js: list[Nucleus]) -> Nucleus:
+    """Join of nuclei (``_join_row`` on the meet of their nuclear sets and
+    on their packed rows), computed dually and cross-checked by
+    iteration."""
+    packed = _packed_rows(lattice)
+    inter = nuclear_sets_meet(space, [to_nuclear_set(space, j) for j in js])
+    rows = [packed.pack(j.values) for j in js]
+    return Nucleus(packed.unpack(_join_row(lattice, space, inter, rows)))
 
 
 # -- the closure-system (NextClosure) oracle -----------------------------------
@@ -458,7 +502,7 @@ def w_decomposition_check(lattice: FiniteLattice, j: Nucleus) -> bool:
     """Is j the meet of the w nuclei at its fixpoints?  Packed rows are
     injective and & of rows is the row of the pointwise meet."""
     rows = _packed_rows(lattice)
-    met = rows[(lattice.top,) * lattice.n]
+    met = rows.top
     for a, v in enumerate(j.values):
         if v == a:
             met &= rows[make_w(lattice, a).values]

@@ -35,11 +35,12 @@ from .lattices import (
 )
 from .nuclei import (
     Nucleus,
+    _join_row,
+    _meet_row,
+    _packed_rows,
     assembly_frame,
     enumerate_nuclei_oracle,
     identity_nucleus,
-    nuclei_join,
-    nuclei_meet,
     to_nuclear_set,
     top_nucleus,
     validate_nucleus,
@@ -734,27 +735,48 @@ def simmons_isbell_report(space: FiniteSpace) -> SimmonsIsbellReport:
     write b as a join of join-irreducibles and absorb them one at a time
     (B. A. Davey and H. A. Priestley, *Introduction to Lattices and
     Order*, 2nd ed., 2002, ch. 5).  Dually for meets, f(1) = 1 and the
-    meet-irreducibles.  So sigma is checked against ``nuclei_join`` with
-    the join-irreducibles of N(L) and ``nuclei_meet`` with its
-    meet-irreducibles, both found on the oracle's list, and delta against
-    unions with singletons and intersections with co-singletons.
+    meet-irreducibles.  So sigma is checked against joins with the
+    join-irreducibles of N(L) and meets with its meet-irreducibles, both
+    found on the oracle's list, and delta against unions with singletons
+    and intersections with co-singletons.
+
+    The pairs are taken on positions in the oracle's list.  Each nucleus
+    has its packed row (``nuclei._packed_rows``), its nuclear set and its
+    sigma computed once.  A meet is the & of two rows (``_meet_row``); a
+    join (``_join_row``) reads the intersection of two nuclear sets back
+    into a nucleus and checks it against the iteration from the | of two
+    rows, raising if they disagree.  The resulting row is looked up in
+    the list for its sigma; a row not there is unpacked and passed to
+    ``sigma``, which validates it, as any other table.
     """
     frame = open_frame(space)
     dual = dual_space(frame)
     asm = assembly_frame(frame)
     nucs = enumerate_nuclei_oracle(frame)
+    packed = _packed_rows(frame)
+    # packed, not stored: no caller reads these rows after the report
+    rows = [packed.pack(j.values) for j in nucs]
+    at = {row: i for i, row in enumerate(rows)}
+    sets = [to_nuclear_set(dual, j) for j in nucs]
     sigmas = [sigma(space, j) for j in nucs]
     sig_inj = len(set(sigmas)) == len(nucs)
     front_open, front_closed = _front_sets(space)
     sig_onto = set(sigmas) == front_open
     hom = sigma(space, identity_nucleus(frame)) == 0
     hom = hom and sigma(space, top_nucleus(frame)) == space.full_mask
+
+    def sigma_of(row: int) -> int:
+        # a row off the oracle's list is unpacked and validated by sigma
+        i = at.get(row)
+        return sigmas[i] if i is not None else sigma(space, Nucleus(packed.unpack(row)))
+
     join_irr, meet_irr = _irreducible_nuclei(nucs)
     for a, p in _prime_pairs(join_irr, len(nucs)):
-        if sigma(space, nuclei_join(frame, dual, [nucs[a], nucs[p]])) != sigmas[a] | sigmas[p]:
+        joined = _join_row(frame, dual, sets[a] & sets[p], [rows[a], rows[p]])
+        if sigma_of(joined) != sigmas[a] | sigmas[p]:
             hom = False
     for a, m in _prime_pairs(meet_irr, len(nucs)):
-        if sigma(space, nuclei_meet(frame, [nucs[a], nucs[m]])) != sigmas[a] & sigmas[m]:
+        if sigma_of(_meet_row(frame, [rows[a], rows[m]])) != sigmas[a] & sigmas[m]:
             hom = False
     deltas = {m: delta(space, m) for m in asm.sets}
     del_inj = len(set(deltas.values())) == len(asm.sets)
@@ -768,8 +790,7 @@ def simmons_isbell_report(space: FiniteSpace) -> SimmonsIsbellReport:
     )
     hits = all(m == 0 or deltas[m] != 0 for m in asm.sets)
     identity = all(
-        sig == space.full_mask & ~deltas[to_nuclear_set(dual, j)]
-        for sig, j in zip(sigmas, nucs)
+        sig == space.full_mask & ~deltas[m] for sig, m in zip(sigmas, sets)
     )
     asm_spatial, _ = is_spatial(asm.lattice)
     weakly_scattered = _scatter_flags(space)[1]

@@ -19,9 +19,10 @@ UNITS = {"wall_s": "s", "setup_s": "s", "ops_per_s": "1/s",
          "op_p50_ms": "ms", "op_p90_ms": "ms", "peak_rss_mb": "MB"}
 
 
-def run_stdout(scale: float, failed: int = 0) -> str:
+def run_stdout(scale: float, failed: int = 0, reference_s=(2.5e-4, 2.6e-4, 2.4e-4)) -> str:
     """What run.py prints with --trace 0: a context line, then the result."""
-    context = {"workload": "poset-sweep", "seed": 1, "seconds": 40, "trace": 0}
+    context = {"workload": "poset-sweep", "seed": 1, "seconds": 40, "trace": 0,
+               "pass_reference_s": list(reference_s)}
     metrics = {
         name: {"value": scale * (k + 1), "unit": unit}
         for k, (name, unit) in enumerate(UNITS.items())
@@ -80,14 +81,34 @@ def test_the_ledger_refuses_fewer_than_ten_pairs(capsys):
     assert "--pairs must be at least 10" in capsys.readouterr().err
 
 
+def test_a_row_records_the_host_speed_on_each_side():
+    # each run's speed is the median of its passes' reference times
+    pairs = [
+        (ledger.parse_result(run_stdout(1.0, reference_s=(b, 9.0, b))),
+         ledger.parse_result(run_stdout(1.0, reference_s=(a, a, 0.0))))
+        for b, a in [(1.0, 3.0), (2.0, 4.0), (1.5, 5.0), (1.0, 6.0)]
+    ]
+    commits = {"parent": "a" * 40, "change": "b" * 40, "change_dirty": False}
+    row = ledger.build_row("poset-sweep", commits, [1, 2, 3, 4], pairs, ledger.benchmark())
+    assert row["reference_s"]["parent"] == pytest.approx(
+        {"median": 1.25, "q1": 1.0, "q3": 1.625})
+    assert row["reference_s"]["change"] == pytest.approx(
+        {"median": 4.5, "q1": 3.75, "q3": 5.25})
+
+
 def test_committed_ledger_rows_have_the_builders_schema():
     bench = ledger.benchmark()
     want = shape(canned_row())
+    # rows written before the ledger recorded the host's speed lack
+    # reference_s; every row after the first that has it must have it
+    before_speed = {k: v for k, v in want.items() if k != "reference_s"}
     for workload in (w["name"] for w in bench["workloads"]):
         rows = json.loads((ROOT / f"BENCH_{workload}.json").read_text())
         assert rows
+        recorded = False
         for row in rows:
-            assert shape(row) == want
+            recorded = recorded or "reference_s" in row
+            assert shape(row) == (want if recorded else before_speed)
             assert row["workload"] == workload and row["pairs"] == len(row["seeds"])
 
 

@@ -31,6 +31,7 @@ from esakia.lattices import (
 from esakia.posets import (
     FinitePoset,
     _relation_isomorphism,
+    _transpose,
     enumerate_posets,
     iter_bits,
     maximal_points,
@@ -733,3 +734,10 @@ def test_dense_above_matches_the_carrier_scan():
     for lat in oracle_lattices():
         for a in range(lat.n):
             assert dense_above(lat, a) == literal_dense_above(lat, a)
+
+
+def test_the_lattice_keeps_the_holders_of_each_join_irreducible():
+    # meet_primes, completely prime filters and validate_nucleus read the
+    # kept copy instead of transposing the Birkhoff masks on each call
+    for lat in oracle_lattices():
+        assert list(lat.holders) == _transpose(lat.upset_of, lat.base.n)

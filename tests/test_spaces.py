@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import example, given, strategies as st
 
-from esakia import spaces, sweeps
+from esakia import nuclei, spaces, sweeps
 from esakia.duality import EsakiaSpaceFin, dual_space, phi_table
 from esakia.errors import SizeBoundError, SpaceError, SubsetError
 from esakia.lattices import is_scattered_frame, points
@@ -12,8 +12,10 @@ from esakia.nuclei import (
     Nucleus,
     assembly_frame,
     enumerate_nuclei_oracle,
+    from_nuclear_set,
     identity_nucleus,
     make_w,
+    nuclear_sets_meet,
     nucleus_leq,
     to_nuclear_set,
     top_nucleus,
@@ -457,9 +459,21 @@ def test_sigma_validates_each_table_once_per_space(monkeypatch):
                 assert len(validated) == before + 1
 
 
+def packed_row(frame, j: Nucleus) -> int:
+    return nuclei._packed_rows(frame).pack(j.values)
+
+
+def patch_kernel(monkeypatch, name, fn):
+    """Replace a pair kernel in every module that holds it: the report
+    reads it from ``spaces``, ``nuclei_meet`` and ``nuclei_join`` (and so
+    ``pair_loop_sigma_hom``) from ``nuclei``."""
+    for module in (nuclei, spaces):
+        monkeypatch.setattr(module, name, fn)
+
+
 def test_sigma_frame_hom_catches_a_wrong_meet(monkeypatch):
-    monkeypatch.setattr(
-        spaces, "nuclei_meet", lambda frame, js: top_nucleus(frame)
+    patch_kernel(
+        monkeypatch, "_meet_row", lambda frame, rows: packed_row(frame, top_nucleus(frame))
     )
     rep = simmons_isbell_report(sierpinski())
     assert not rep.sigma_frame_hom
@@ -467,8 +481,10 @@ def test_sigma_frame_hom_catches_a_wrong_meet(monkeypatch):
 
 
 def test_sigma_frame_hom_catches_a_wrong_join(monkeypatch):
-    monkeypatch.setattr(
-        spaces, "nuclei_join", lambda frame, dual, js: identity_nucleus(frame)
+    patch_kernel(
+        monkeypatch,
+        "_join_row",
+        lambda frame, dual, inter, rows: packed_row(frame, identity_nucleus(frame)),
     )
     rep = simmons_isbell_report(sierpinski())
     assert not rep.sigma_frame_hom
@@ -487,9 +503,9 @@ def pair_loop_sigma_hom(space):
     for i, j in enumerate(nucs):
         for k in range(i + 1, len(nucs)):
             pair = [j, nucs[k]]
-            if spaces.sigma(space, spaces.nuclei_meet(frame, pair)) != sigmas[i] & sigmas[k]:
+            if spaces.sigma(space, nuclei.nuclei_meet(frame, pair)) != sigmas[i] & sigmas[k]:
                 hom = False
-            if spaces.sigma(space, spaces.nuclei_join(frame, dual, pair)) != sigmas[i] | sigmas[k]:
+            if spaces.sigma(space, nuclei.nuclei_join(frame, dual, pair)) != sigmas[i] | sigmas[k]:
                 hom = False
     return hom
 
@@ -536,37 +552,39 @@ def test_prime_finder_matches_the_literal_irreducibles():
 
 
 def mutate_join(monkeypatch):
-    """nuclei_join returns the identity nucleus when exactly one argument
-    is join-irreducible, and the true join otherwise."""
-    real = spaces.nuclei_join
+    """The join kernel returns the identity nucleus's row when exactly one
+    argument is join-irreducible, and the true join otherwise."""
+    real = nuclei._join_row
     memo = {}  # by frame id, holding the frame so the id is not reused
 
-    def mutant(frame, dual, js):
+    def mutant(frame, dual, inter, rows):
         if id(frame) not in memo:
-            memo[id(frame)] = (frame, literal_irreducibles(frame)[0])
+            joins = {packed_row(frame, Nucleus(v)) for v in literal_irreducibles(frame)[0]}
+            memo[id(frame)] = (frame, joins)
         joins = memo[id(frame)][1]
-        if sum(j.values in joins for j in js) == 1:
-            return identity_nucleus(frame)
-        return real(frame, dual, js)
+        if sum(row in joins for row in rows) == 1:
+            return packed_row(frame, identity_nucleus(frame))
+        return real(frame, dual, inter, rows)
 
-    monkeypatch.setattr(spaces, "nuclei_join", mutant)
+    patch_kernel(monkeypatch, "_join_row", mutant)
 
 
 def mutate_meet(monkeypatch):
-    """nuclei_meet returns the top nucleus when exactly one argument is
-    meet-irreducible, and the true meet otherwise."""
-    real = spaces.nuclei_meet
+    """The meet kernel returns the top nucleus's row when exactly one
+    argument is meet-irreducible, and the true meet otherwise."""
+    real = nuclei._meet_row
     memo = {}  # by frame id, holding the frame so the id is not reused
 
-    def mutant(frame, js):
+    def mutant(frame, rows):
         if id(frame) not in memo:
-            memo[id(frame)] = (frame, literal_irreducibles(frame)[1])
+            meets = {packed_row(frame, Nucleus(v)) for v in literal_irreducibles(frame)[1]}
+            memo[id(frame)] = (frame, meets)
         meets = memo[id(frame)][1]
-        if sum(j.values in meets for j in js) == 1:
-            return top_nucleus(frame)
-        return real(frame, js)
+        if sum(row in meets for row in rows) == 1:
+            return packed_row(frame, top_nucleus(frame))
+        return real(frame, rows)
 
-    monkeypatch.setattr(spaces, "nuclei_meet", mutant)
+    patch_kernel(monkeypatch, "_meet_row", mutant)
 
 
 def mutate_delta(monkeypatch):
@@ -611,19 +629,63 @@ def test_hom_flags_match_the_pair_loops(monkeypatch, mutate, flag, bites):
 def test_prime_pairs_never_outnumber_the_pairs(monkeypatch):
     # the discrete space on k points has N(L) of 2^k nuclei with k primes
     calls = []
-    join, meet = spaces.nuclei_join, spaces.nuclei_meet
-    monkeypatch.setattr(
-        spaces, "nuclei_join", lambda *a: calls.append("join") or join(*a)
-    )
-    monkeypatch.setattr(
-        spaces, "nuclei_meet", lambda *a: calls.append("meet") or meet(*a)
-    )
+    join, meet = nuclei._join_row, nuclei._meet_row
+    patch_kernel(monkeypatch, "_join_row", lambda *a: calls.append("join") or join(*a))
+    patch_kernel(monkeypatch, "_meet_row", lambda *a: calls.append("meet") or meet(*a))
     for k, want in enumerate([0, 1, 5, 18, 54, 145]):
         s = FiniteSpace([str(i) for i in range(k)], range(1 << k))
         calls.clear()
         assert simmons_isbell_report(s).ok
         assert calls.count("join") == calls.count("meet") == want
         assert want <= (1 << k) * ((1 << k) - 1) // 2
+
+
+def literal_meet(lattice, js):
+    """The pointwise meet, field by field on value tables."""
+    up = lattice.upset_of
+    masks = [up[lattice.top]] * lattice.n
+    for j in js:
+        masks = [m & up[v] for m, v in zip(masks, j.values)]
+    return Nucleus(tuple(map(lattice.of_mask.__getitem__, masks)))
+
+
+def literal_join(lattice, space, js):
+    """The join through the nuclear sets, checked against the pointwise
+    sup iterated on value tables to its fixpoint."""
+    inter = nuclear_sets_meet(space, [to_nuclear_set(space, j) for j in js])
+    primary = from_nuclear_set(space, inter)
+    up = lattice.upset_of
+    masks = list(up)
+    for j in js:
+        masks = [m | up[v] for m, v in zip(masks, j.values)]
+    g = tuple(map(lattice.of_mask.__getitem__, masks))
+    h = g
+    while True:
+        nxt = tuple(g[x] for x in h)
+        if nxt == h:
+            break
+        h = nxt
+    assert h == primary.values
+    return primary
+
+
+def test_pair_kernels_match_the_value_table_routes():
+    # the rows the report's kernels return on its prime pairs are the
+    # packed rows of the meets and joins taken on value tables
+    for n in range(5):
+        for s in enumerate_topologies(n):
+            frame = open_frame(s)
+            dual = dual_space(frame)
+            nucs = enumerate_nuclei_oracle(frame)
+            rows = [packed_row(frame, j) for j in nucs]
+            sets = [to_nuclear_set(dual, j) for j in nucs]
+            join_irr, meet_irr = spaces._irreducible_nuclei(nucs)
+            for a, p in spaces._prime_pairs(join_irr, len(nucs)):
+                got = nuclei._join_row(frame, dual, sets[a] & sets[p], [rows[a], rows[p]])
+                assert got == packed_row(frame, literal_join(frame, dual, [nucs[a], nucs[p]]))
+            for a, m in spaces._prime_pairs(meet_irr, len(nucs)):
+                got = nuclei._meet_row(frame, [rows[a], rows[m]])
+                assert got == packed_row(frame, literal_meet(frame, [nucs[a], nucs[m]]))
 
 
 def test_sigma_is_injective_on_every_small_space():

@@ -16,9 +16,12 @@ written.
 For each workload one row is appended to ``BENCH_<workload>.json`` at the
 repo root: the commit pair, and for each end-to-end metric declared in
 ``BENCHMARK.json`` the median and quartiles on each side and the number
-of pairs the change won.  Commit the working tree before running, so the
-row names the code it measured; a row measured with ``src/`` or
-``perfbench/`` differing from HEAD says so in ``change_dirty``.
+of pairs the change won.  The row also records the host's speed on each
+side, ``reference_s``: the median and quartiles over the runs of the
+reference loop's time that ``run.py`` prints on its context line.
+Commit the working tree before running, so the row names the code it
+measured; a row measured with ``src/`` or ``perfbench/`` differing from
+HEAD says so in ``change_dirty``.
 """
 
 from __future__ import annotations
@@ -54,8 +57,12 @@ def end_to_end(bench: dict) -> dict[str, str]:
 
 
 def parse_result(stdout: str) -> dict:
-    """The result record: the last stdout line of a ``run.py`` run."""
-    return json.loads(stdout.strip().splitlines()[-1])
+    """The result record, the last stdout line of a ``run.py`` run, with
+    ``reference_s`` added from the context line before it: the median over
+    the passes of the reference loop's time, the host's speed in the run."""
+    *_, context, result = stdout.strip().splitlines()
+    passes = json.loads(context)["pass_reference_s"]
+    return {**json.loads(result), "reference_s": statistics.median(passes)}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -115,6 +122,10 @@ def build_row(
         "failed": {
             "parent": sum(p["failed"] for p, _ in pairs),
             "change": sum(c["failed"] for _, c in pairs),
+        },
+        "reference_s": {
+            "parent": summary([p["reference_s"] for p, _ in pairs]),
+            "change": summary([c["reference_s"] for _, c in pairs]),
         },
         "metrics": metrics,
     }
