@@ -295,25 +295,27 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
+    highlight = args.highlight or []
     if args.poset is not None:
         poset = _poset_arg(args.poset)
         what = args.what or "poset"
         if what != "poset":
             raise ModelError(f"--poset only supports --what poset, got {what!r}")
-        text = dot.poset_dot(poset, highlight=frozenset(args.highlight or ()))
+        text = dot.poset_dot(poset, highlight=frozenset(highlight))
     elif args.lattice is not None:
         lat = _lattice_arg(args.lattice)
         what = args.what or "lattice"
         if what == "lattice":
-            text = dot.lattice_dot(lat, highlight=frozenset(args.highlight or ()))
+            text = dot.lattice_dot(lat, highlight=frozenset(highlight))
         elif what == "dual":
-            highlight = args.highlight or []
             if len(highlight) > 1:
                 raise ModelError("--what dual takes at most one --highlight element")
             text = dot.dual_space_dot(
                 lat, highlight_element=highlight[0] if highlight else None
             )
         elif what == "assembly":
+            if highlight:
+                raise ModelError("--what assembly shades nothing; drop --highlight")
             text = dot.assembly_dot(lat)
         else:
             raise ModelError(f"--lattice supports lattice, dual, assembly; got {what!r}")
@@ -322,6 +324,8 @@ def _cmd_export_dot(args) -> int:
         what = args.what or "space"
         if what != "space":
             raise ModelError(f"--space only supports --what space, got {what!r}")
+        if highlight:
+            raise ModelError("--what space shades nothing; drop --highlight")
         text = dot.space_dot(space)
     sys.stdout.write(text)
     return EXIT_OK

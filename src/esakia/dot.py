@@ -29,7 +29,10 @@ def _digraph(name: str, nodes: list[str], edges: list[str]) -> str:
 
 
 def poset_dot(poset: FinitePoset, *, highlight: frozenset[str] = frozenset(), name: str = "poset") -> str:
-    """Hasse diagram; highlighted elements are filled."""
+    """Hasse diagram; highlighted elements are filled, and a highlight that
+    is not an element raises PosetError."""
+    for label in sorted(highlight):
+        poset.index(label)
     nodes = []
     for label in poset.elements:
         attrs = ' [style=filled, fillcolor=lightgray]' if label in highlight else ""

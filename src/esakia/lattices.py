@@ -23,7 +23,7 @@ a distributive lattice.  The n x n tables meet_t and join_t are built
 from the masks on first use.
 
 The lattices derived here and elsewhere (upsets, opens, assemblies,
-booleanizations, fixpoint frames, regular closed sets) reach the
+booleanizations, fixpoint frames) reach the
 constructor as inclusion orders on a family of sets, built by
 ``FinitePoset.of_family``; (a) and (b) still run on each of them, so
 every lattice is validated on its own route.  A family of elements of a
@@ -63,7 +63,6 @@ from .posets import (
     _memo,
     _meet_rows,
     _read_order_json,
-    _relation_isomorphism,
     _transpose,
     _upsets,
     down_closure,
@@ -599,17 +598,3 @@ def booleanization(lattice: FiniteLattice) -> Booleanization:
     project = tuple(back[a] for a in nn)
     return Booleanization(sub, image_mask, project, tuple(reg))
 
-
-def _dually_isomorphic(a: FiniteLattice, b: FiniteLattice) -> bool:
-    """Whether a is isomorphic to the order dual of b, decided on the
-    join-irreducibles: |J| points per side instead of n.
-
-    Two finite distributive lattices are isomorphic iff their posets of
-    join-irreducibles are, and J(L^op) is isomorphic to J(L)^op (Davey and
-    Priestley, Introduction to Lattices and Order, 2nd ed., 2002, ch. 5),
-    so a is isomorphic to b^op iff J(a) is isomorphic to J(b)^op.  The
-    base orders the join-irreducibles reversed, so that is base(a) against
-    the order dual of base(b): b's down-masks serve as its up-masks.
-    Every FiniteLattice is distributive, validated on construction.
-    """
-    return _relation_isomorphism(a.base._up, a.base._down, b.base._down, b.base._up) is not None

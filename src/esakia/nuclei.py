@@ -33,6 +33,10 @@ which meet and join are & and |.
   ``nuclei_join`` are thin wrappers over them, and
   ``spaces.simmons_isbell_report`` calls them on rows directly.  The
   NextClosure oracle's tables take & of Birkhoff masks.
+* ``assembly_booleanization_check`` compares the booleanization with the
+  regular closed sets of the discrete dual by size: both are Boolean, so
+  no lattice is built for the regular closed sets and nothing is
+  searched.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from .errors import NucleusError, SizeBoundError
 from .lattices import (
     FiniteLattice,
     Booleanization,
-    _dually_isomorphic,
     booleanization,
     complement_of,
     is_boolean,
@@ -531,13 +534,6 @@ class AssemblyBooleanReport:
         return self.agree and self.direct_boolean
 
 
-def _discrete_space(space: EsakiaSpaceFin):
-    from .spaces import FiniteSpace  # runtime import; spaces builds on this module
-
-    n = space.poset.n
-    return FiniteSpace(space.poset.elements, range(1 << n))
-
-
 def is_assembly_boolean(lattice: FiniteLattice) -> AssemblyBooleanReport:
     """Booleanness of the assembly, decided directly, against scatteredness
     of the frame."""
@@ -547,6 +543,9 @@ def is_assembly_boolean(lattice: FiniteLattice) -> AssemblyBooleanReport:
 
 @dataclass(frozen=True)
 class BooleanizationCheck:
+    """``dually_isomorphic`` is decided from the sizes, as both sides are
+    Boolean: ``ok`` is the same test."""
+
     ok: bool
     booleanization_size: int
     regular_closed_size: int
@@ -554,25 +553,21 @@ class BooleanizationCheck:
 
 
 def assembly_booleanization_check(lattice: FiniteLattice) -> BooleanizationCheck:
-    """The booleanization of the assembly against the regular closed sets,
-    compared through an order-reversing isomorphism.
+    """The booleanization of the assembly against the regular closed sets
+    of the discrete dual space, compared by size with no search.
 
-    Both sides are built by their own routes as validated lattices, and
-    the isomorphism is decided on their join-irreducibles
-    (``lattices._dually_isomorphic``): k points per side for a k-point
-    dual space, not the 2^k elements of each lattice.
+    ``booleanization`` raises unless its image is Boolean, and 2^k distinct
+    subsets of the k dual points are the whole powerset.  Finite Boolean
+    algebras of one size are isomorphic and self-dual (Davey and Priestley,
+    Introduction to Lattices and Order, 2nd ed., 2002, ch. 5).
     """
-    from .spaces import regular_closed
+    from .spaces import FiniteSpace, regular_closed  # spaces builds on this module
 
     asm = assembly_frame(lattice)
     b: Booleanization = booleanization(asm.lattice)
-    disc = _discrete_space(asm.dual)
-    rc = sorted(regular_closed(disc))
-    names = [set_label(asm.dual.poset.elements, m) for m in rc]
-    rc_lattice = FiniteLattice(FinitePoset.of_family(names, rc))
-    dual_iso = _dually_isomorphic(b.lattice, rc_lattice)
-    ok = dual_iso and b.lattice.n == rc_lattice.n
-    return BooleanizationCheck(ok, b.lattice.n, rc_lattice.n, dual_iso)
+    rc = regular_closed(FiniteSpace.from_preorder(asm.dual.poset.elements, ()))
+    dual_iso = len(rc) == 1 << asm.dual.n and b.lattice.n == len(rc)
+    return BooleanizationCheck(dual_iso, b.lattice.n, len(rc), dual_iso)
 
 
 # -- the tower of assemblies ----------------------------------------------------
@@ -623,7 +618,8 @@ def tower(lattice: FiniteLattice) -> TowerResult:
         embeddings.append(tuple(emb))
         if len(set(emb)) != cur.n:
             injective = False
-        if emb[cur.bot] != asm.lattice.bot or emb[cur.top] != asm.lattice.top:
+        # the bottom is the empty join, the first step of the join loop
+        if emb[cur.top] != asm.lattice.top:
             frame_ops = False
         for a in range(cur.n):
             for b in range(cur.n):

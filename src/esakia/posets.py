@@ -10,7 +10,7 @@ Conventions used by the whole package:
 * Listings of subsets are always emitted in ascending mask order, which
   is the canonical tie-break everywhere output must be reproducible.
 * Families of sets (prime filters, nuclear sets, opens, upsets, regular
-  elements, regular closed sets) enter through ``FinitePoset.of_family``,
+  elements) enter through ``FinitePoset.of_family``,
   which orders them by inclusion.  It checks only that the sets are
   distinct: inclusion among distinct sets is reflexive, transitive and
   antisymmetric, so there is nothing else to check.  Up- and down-masks
@@ -45,7 +45,9 @@ Conventions used by the whole package:
   poset plus a maximal point.
 * Isomorphisms of orders and of specialization preorders are searched
   by ``_relation_isomorphism``, which takes the up- and down-masks of
-  both relations, so callers hand in the down-masks they already hold.
+  both relations.  It runs only behind ``find_isomorphism`` and
+  ``spaces.find_homeomorphism``, for callers and tests: no report
+  searches, each compares along the map its construction gives.
   Each distinct ``_invariants`` tuple gets a small class id and the
   candidates of a class are one mask; a candidate is tested by two mask
   comparisons, the used points above and below it against the images of

@@ -337,3 +337,42 @@ def test_dot_space_draws_indistinguishable_pairs_dashed():
     )
     text = dot.space_dot(s)
     assert "dir=none" in text and "style=dashed" in text
+
+
+HIGHLIGHT_REFUSALS = [
+    ("poset-unknown", ["--poset", TWO, "--highlight", "zz"], "unknown element 'zz'"),
+    ("lattice-unknown", ["--lattice", L3, "--highlight", "zz"], "unknown element 'zz'"),
+    (
+        "dual-unknown",
+        ["--lattice", L3, "--what", "dual", "--highlight", "zz"],
+        "unknown element 'zz'",
+    ),
+    (
+        "assembly",
+        ["--lattice", L3, "--what", "assembly", "--highlight", "m"],
+        "--what assembly shades nothing; drop --highlight",
+    ),
+    (
+        "space",
+        ["--space", SIER, "--highlight", "0"],
+        "--what space shades nothing; drop --highlight",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", [r[1:] for r in HIGHLIGHT_REFUSALS], ids=[r[0] for r in HIGHLIGHT_REFUSALS]
+)
+def test_export_dot_refuses_a_highlight_it_cannot_shade(capsys, argv, message):
+    code = cli.main(["export-dot", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (4, "", f"error: {message}\n")
+
+
+def test_export_dot_shades_a_known_highlight(capsys):
+    code, out = run(capsys, "export-dot", "--poset", TWO, "--highlight", "1")
+    assert code == 0
+    assert '"1" [style=filled, fillcolor=lightgray];' in out and '"0";' in out
+    code, out = run(capsys, "export-dot", "--lattice", L3, "--highlight", "m")
+    assert code == 0
+    assert '"m" [style=filled, fillcolor=lightgray];' in out

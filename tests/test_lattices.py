@@ -8,7 +8,6 @@ from esakia.duality import dual_space, upset_algebra
 from esakia.errors import LatticeError, PosetError
 from esakia.lattices import (
     Booleanization,
-    _dually_isomorphic,
     FiniteLattice,
     birkhoff_lattice,
     booleanization,
@@ -30,7 +29,6 @@ from esakia.lattices import (
 )
 from esakia.posets import (
     FinitePoset,
-    _relation_isomorphism,
     _transpose,
     enumerate_posets,
     iter_bits,
@@ -360,32 +358,6 @@ def test_booleanization_matches_the_down_mask_route():
             want.project,
             want.image_index,
         )
-
-
-def full_order_dually_isomorphic(a: FiniteLattice, b: FiniteLattice) -> bool:
-    """The literal route: the search over every element of both orders,
-    b's down-masks serving as the up-masks of its dual."""
-    return (
-        _relation_isomorphism(a.poset._up, a.poset._down, b.poset._down, b.poset._up)
-        is not None
-    )
-
-
-def test_dually_isomorphic_matches_the_full_order_search():
-    lats = []
-    for n in range(6):
-        for p in enumerate_posets(n):
-            lat = birkhoff_lattice(p)
-            lats += [lat, FiniteLattice(lat.poset.dual())]
-    answers = {True: 0, False: 0}
-    for a in lats:
-        for b in lats:
-            if a.n == b.n:
-                want = full_order_dually_isomorphic(a, b)
-                assert _dually_isomorphic(a, b) == want
-                answers[want] += 1
-    # both answers occur, on 2,296 ordered pairs of equal size
-    assert answers == {True: 352, False: 1944}
 
 
 def test_complements():

@@ -431,25 +431,26 @@ def test_assembly_booleanness_reports():
     assert check.ok and check.dually_isomorphic
 
 
-def test_booleanization_isomorphism_searches_the_dual_points(monkeypatch):
-    # one search per check, on the k join-irreducibles of each side,
-    # never on the 2^k elements of the two lattices
-    lengths = []
-    search = posets_module._relation_isomorphism
-
-    def recording(*relations):
-        lengths.extend(len(r) for r in relations)
-        return search(*relations)
+def test_the_regular_closed_sets_of_the_discrete_dual_are_the_powerset(monkeypatch):
+    # the booleanization check compares sizes and searches nothing; the
+    # discrete dual it builds is the powerset of the k dual points, every
+    # subset of which is regular closed
+    def refuse(*relations):
+        raise AssertionError("the booleanization check ran an isomorphism search")
 
     for mod in (posets_module, lattices, nuclei, spaces):
         if hasattr(mod, "_relation_isomorphism"):
-            monkeypatch.setattr(mod, "_relation_isomorphism", recording)
+            monkeypatch.setattr(mod, "_relation_isomorphism", refuse)
     frames = 0
     for _, lat in reference_frames():
-        k = dual_space(lat).n
-        lengths.clear()
-        assert assembly_booleanization_check(lat).ok
-        assert lengths == [k] * 4
+        asm = assembly_frame(lat)
+        k = asm.dual.n
+        disc = spaces.FiniteSpace.from_preorder(asm.dual.poset.elements, ())
+        assert disc.opens == tuple(range(1 << k))
+        assert sorted(spaces.regular_closed(disc)) == list(range(1 << k))
+        check = assembly_booleanization_check(lat)
+        assert check.ok and check.dually_isomorphic
+        assert check.booleanization_size == check.regular_closed_size == 1 << k
         frames += 1
     assert frames == 406 + 390
 

@@ -570,16 +570,15 @@ INCLUSION_SITES = {
     "booleanization",
     "fixpoint_frame",
     "assembly_frame",
-    "assembly_booleanization_check",
 }
 
 
 def test_of_family_matches_the_checked_mask_route(monkeypatch):
     # every family the inclusion-order sites build from the reference
     # frames: upsets, opens, prime filters, regular elements, the
-    # fixpoints of the identity, assembly complements and regular closed
-    # sets, each through of_family and through from_up_masks, which
-    # re-checks the order
+    # fixpoints of the identity and assembly complements, each through
+    # of_family and through from_up_masks, which re-checks the order; the
+    # booleanization check builds no order for the regular closed sets
     of_family = FinitePoset.of_family.__func__
     built = []
 
@@ -599,7 +598,7 @@ def test_of_family_matches_the_checked_mask_route(monkeypatch):
     assert {site for site, _, _ in built} == INCLUSION_SITES
     # the Birkhoff lattice or the open frame, then one order per other
     # site and one for the booleanization of the assembly
-    assert len(built) == 7 * frames
+    assert len(built) == 6 * frames
     for _, labels, family in built:
         got = of_family(FinitePoset, labels, family)
         want = FinitePoset.from_up_masks(labels, inclusion_up_masks(family))

@@ -314,6 +314,20 @@ def test_t0_reflection_collapses_indistinguishable_points():
     assert find_homeomorphism(t2, sierpinski()) is not None
 
 
+def test_pushed_eps_check_agrees_with_the_homeomorphism_search():
+    # the search is the reference for matches_t0_reflection, which reads
+    # eps pushed through the reflection instead of searching
+    spaces_seen = 0
+    for n in range(5):
+        for s in enumerate_topologies(n):
+            sob = soberification(s)
+            t0_space, _ = t0_reflection(s)
+            searched = find_homeomorphism(sob.space, t0_space) is not None
+            assert sob.matches_t0_reflection == searched
+            spaces_seen += 1
+    assert spaces_seen == 390
+
+
 def test_soberification_matches_reflection_on_finite_spaces():
     for s in enumerate_topologies(3):
         sob = soberification(s)
