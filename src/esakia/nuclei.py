@@ -13,12 +13,21 @@ a, and the lattice's Birkhoff masks (``FiniteLattice.upset_of``), on
 which meet and join are & and |.
 
 * ``to_nuclear_set`` is full & ~OR_a (phi(j(a)) ^ phi(a)): the points
-  that no a moves in or out of their filter.
+  that no a moves in or out of their filter.  phi(a) is a's Birkhoff mask
+  position by position, so this is ``_PackedRows.nuclear_set``, the | of
+  the fields of row ^ identity folded onto one field; ``_dual_rows``
+  checks that equality wherever the kernel meets a dual space.
 * ``from_nuclear_set`` reads phi(j(a)) as the complement of the
   down-closure of mask - phi(a), from the dual space's one down-closure
   table (``duality._down_closures``), which the Heyting formula of
   ``duality`` reads too.  The nucleus tables are compared with the
   NextClosure oracle, never with that formula.
+* ``assembly_frame`` calls ``from_nuclear_set`` on the singletons only.
+  The nucleus of a union of nuclear sets is the pointwise meet of
+  theirs, so every other nucleus of the assembly is the & of its points'
+  singleton rows (``_meet_closure``), and each row's nuclear set is read
+  back by the kernel above.  Value tables are unpacked from the rows only
+  when ``AssemblyFrame.nuclei`` is read.
 * ``validate_nucleus`` decides the three axioms by subset tests and by
   ``_preserves_meets``, which asks that the elements sent above each
   join-irreducible form a principal filter (or none).  Only a table
@@ -43,6 +52,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter, index
 
 from .bounds import assembly_bound, oracle_bound
@@ -223,9 +233,12 @@ class _PackedRows(dict):
     demand: the Birkhoff masks of j(0), j(1), ... side by side, in fields
     of |J| bits.  ``pack`` computes a row without storing it and
     ``unpack`` reads a row back into its table; ``top`` and ``identity``
-    are the rows of the top and of the identity nucleus."""
+    are the rows of the top and of the identity nucleus.
+    ``nuclear_set`` reads a row's nuclear set, ORing the fields together
+    with one shift by each of |J|, 2|J|, 4|J|, ... bits (``folds``): the
+    sums of those field counts reach every field."""
 
-    __slots__ = ("masks", "of_mask", "width", "field", "shifts", "top", "identity")
+    __slots__ = ("masks", "of_mask", "width", "field", "shifts", "folds", "top", "identity")
 
     def __init__(self, lattice: FiniteLattice):
         super().__init__()
@@ -234,6 +247,7 @@ class _PackedRows(dict):
         self.width = width = lattice.base.n
         self.field = (1 << width) - 1
         self.shifts = tuple(a * width for a in range(lattice.n))
+        self.folds = tuple(width << t for t in range((lattice.n - 1).bit_length()))
         self.top = (1 << lattice.n * width) - 1
         self.identity = self.pack(range(lattice.n))
 
@@ -250,6 +264,14 @@ class _PackedRows(dict):
     def unpack(self, row: int) -> tuple[int, ...]:
         of_mask, field = self.of_mask, self.field
         return tuple([of_mask[row >> s & field] for s in self.shifts])
+
+    def nuclear_set(self, row: int) -> int:
+        """The join-irreducibles k whose bit no field of the row moves off
+        the identity's: full & ~OR_a (mask(j(a)) ^ mask(a))."""
+        moved = row ^ self.identity
+        for s in self.folds:
+            moved |= moved >> s
+        return self.field & ~moved
 
 
 @_memo("nucleus_rows")
@@ -269,21 +291,30 @@ def is_nuclear(space: EsakiaSpaceFin, mask: int) -> bool:
     return True
 
 
+def _dual_rows(space: EsakiaSpaceFin) -> _PackedRows:
+    """The packed rows of the space's source lattice, whose fields are
+    masks of the space's points: phi(a) is a's Birkhoff mask position by
+    position, as both list the join-irreducibles in ascending index (the
+    correspondence ``base_matches_dual`` checks on the orders)."""
+    lattice = space.source
+    if phi_table(space) != lattice.upset_of:
+        raise NucleusError("phi disagrees with the Birkhoff masks")  # unreachable
+    return _packed_rows(lattice)
+
+
 @_memo("to_nuclear_set", by=attrgetter("values"))
 def to_nuclear_set(space: EsakiaSpaceFin, j: Nucleus) -> int:
     """Points whose prime filter is its own preimage under the nucleus.
 
     Bit y of phi(j(a)) ^ phi(a) is set iff j(a) and a disagree on the
     filter at y, so the points whose filter equals its preimage are those
-    that no a moves: full & ~OR_a (phi(j(a)) ^ phi(a)).  Memoised on the
+    that no a moves: full & ~OR_a (phi(j(a)) ^ phi(a)), read off the
+    nucleus's packed row by ``_PackedRows.nuclear_set``.  Memoised on the
     dual space, in its ``_cache["to_nuclear_set"]``, keyed by the full
     value table ``j.values``.
     """
-    table = phi_table(space)
-    moved = 0
-    for v, t in zip(j.values, table):
-        moved |= table[v] ^ t
-    return space.poset.full_mask & ~moved
+    packed = _dual_rows(space)
+    return packed.nuclear_set(packed.pack(j.values))
 
 
 @_memo("from_nuclear_set", by=index)
@@ -306,18 +337,42 @@ def from_nuclear_set(space: EsakiaSpaceFin, mask: int) -> Nucleus:
 
 @dataclass(frozen=True, eq=False)
 class AssemblyFrame:
-    """The assembly, carried by nuclear subsets under reverse inclusion."""
+    """The assembly, carried by nuclear subsets under reverse inclusion.
+
+    ``rows[i]`` is the packed row (``_packed_rows`` of ``source``) of the
+    nucleus of ``sets[i]``; ``nuclei`` unpacks the rows into value tables
+    on its first read."""
 
     source: FiniteLattice
     dual: EsakiaSpaceFin
     lattice: FiniteLattice
     sets: tuple[int, ...]
-    nuclei: tuple[Nucleus, ...]
+    rows: tuple[int, ...]
+
+    @cached_property
+    def nuclei(self) -> tuple[Nucleus, ...]:
+        unpack = _packed_rows(self.source).unpack
+        return tuple(Nucleus(unpack(row)) for row in self.rows)
+
+
+def _meet_closure(top: int, generators: Sequence[int]) -> list[int]:
+    """The & of every subset of the generators, the empty one being top:
+    item S is the & of generators[y] over the bits y of S."""
+    rows = [top]
+    for g in generators:
+        rows += [row & g for row in rows]
+    return rows
 
 
 @_memo("assembly")
 def assembly_frame(lattice: FiniteLattice) -> AssemblyFrame:
-    """Build the assembly of a finite frame from its nuclear subsets."""
+    """Build the assembly of a finite frame from its nuclear subsets.
+
+    The nucleus of a union of nuclear sets is the pointwise meet of theirs,
+    phi(j_{S|T}(a)) = X - down((S|T) - phi(a)) = phi(j_S(a)) & phi(j_T(a)),
+    so the row of each set's nucleus is the & of its points' singleton
+    rows.  The nuclear set of every row is read back and must be its set.
+    """
     space = dual_space(lattice)
     n = space.poset.n
     if n > assembly_bound():
@@ -329,11 +384,13 @@ def assembly_frame(lattice: FiniteLattice) -> AssemblyFrame:
     # order of the complements
     full = space.poset.full_mask
     asm_lattice = FiniteLattice(FinitePoset.of_family(names, [full & ~m for m in sets]))
-    nuclei = tuple(from_nuclear_set(space, m) for m in sets)
-    for k, j in enumerate(nuclei):
-        if to_nuclear_set(space, j) != sets[k]:
-            raise NucleusError("nuclear set round trip failed")  # unreachable
-    return AssemblyFrame(lattice, space, asm_lattice, sets, nuclei)
+    packed = _dual_rows(space)
+    rows = _meet_closure(
+        packed.top, [packed.pack(from_nuclear_set(space, 1 << y).values) for y in range(n)]
+    )
+    if tuple(map(packed.nuclear_set, rows)) != sets:
+        raise NucleusError("nuclear set round trip failed")  # unreachable
+    return AssemblyFrame(lattice, space, asm_lattice, sets, tuple(rows))
 
 
 # -- meets and joins of nuclei ------------------------------------------------

@@ -35,13 +35,12 @@ from .lattices import (
 )
 from .nuclei import (
     Nucleus,
+    _dual_rows,
     _join_row,
     _meet_row,
-    _packed_rows,
     assembly_frame,
     enumerate_nuclei_oracle,
     identity_nucleus,
-    to_nuclear_set,
     top_nucleus,
     validate_nucleus,
 )
@@ -753,11 +752,12 @@ def simmons_isbell_report(space: FiniteSpace) -> SimmonsIsbellReport:
     and intersections with co-singletons.
 
     The pairs are taken on positions in the oracle's list.  Each nucleus
-    has its packed row (``nuclei._packed_rows``), its nuclear set and its
-    sigma computed once.  A meet is the & of two rows (``_meet_row``); a
-    join (``_join_row``) reads the intersection of two nuclear sets back
-    into a nucleus and checks it against the iteration from the | of two
-    rows, raising if they disagree.  The resulting row is looked up in
+    has its packed row (``nuclei._dual_rows``), its nuclear set, read off
+    that row (``_PackedRows.nuclear_set``), and its sigma computed once.
+    A meet is the & of two rows (``_meet_row``); a join (``_join_row``)
+    reads the intersection of two nuclear sets back into a nucleus and
+    checks it against the iteration from the | of two rows, raising if
+    they disagree.  The resulting row is looked up in
     the list for its sigma; a row not there is unpacked and passed to
     ``sigma``, which validates it, as any other table.
     """
@@ -765,11 +765,11 @@ def simmons_isbell_report(space: FiniteSpace) -> SimmonsIsbellReport:
     dual = dual_space(frame)
     asm = assembly_frame(frame)
     nucs = enumerate_nuclei_oracle(frame)
-    packed = _packed_rows(frame)
+    packed = _dual_rows(dual)
     # packed, not stored: no caller reads these rows after the report
     rows = [packed.pack(j.values) for j in nucs]
     at = {row: i for i, row in enumerate(rows)}
-    sets = [to_nuclear_set(dual, j) for j in nucs]
+    sets = [packed.nuclear_set(row) for row in rows]
     sigmas = [sigma(space, j) for j in nucs]
     sig_inj = len(set(sigmas)) == len(nucs)
     front_open, front_closed = _front_sets(space)

@@ -61,14 +61,13 @@ def _check_assembly(poset: FinitePoset, lattice: FiniteLattice) -> bool:
     asm = assembly_frame(lattice)
     if asm.lattice.n != 1 << poset.n:
         return False
-    oracle = enumerate_nuclei_oracle(lattice)
-    if sorted(j.values for j in oracle) != sorted(j.values for j in asm.nuclei):
+    # packing is injective, so equal sorted rows are equal sets of nuclei
+    pack = _packed_rows(lattice).pack
+    if sorted(pack(j.values) for j in enumerate_nuclei_oracle(lattice)) != sorted(asm.rows):
         return False
     # row i of the pointwise order (j_i <= j_k iff the packed row of j_i is
     # inside j_k's) against row i of reverse inclusion (sets[k] <= sets[i])
-    rows = _packed_rows(lattice)
-    pointwise = inclusion_up_masks([rows[j.values] for j in asm.nuclei])
-    return pointwise == _inclusion_masks(asm.sets)[1]
+    return inclusion_up_masks(asm.rows) == _inclusion_masks(asm.sets)[1]
 
 
 def _check_wdecomp(poset: FinitePoset, lattice: FiniteLattice) -> bool:

@@ -1,14 +1,19 @@
 """The mutant registry: each row names a report, one of its flags, a
 corruption of the code that report reads, and the instance it runs on.
 The flag must hold on the instance, and the corruption must flip it;
-a flag that no corruption can flip checks nothing."""
+a flag that no corruption can flip checks nothing.
+
+A check that raises instead of reporting a flag has its rows in
+``RAISING``: the call must succeed on the instance, and the corruption
+must make it raise the check's error."""
 
 import pytest
 
 from esakia import duality, nuclei, spaces
 from esakia.duality import EsakiaSpaceFin, unit_counit_check
+from esakia.errors import NucleusError
 from esakia.lattices import FiniteLattice, birkhoff_lattice, lattice_from_json_dict
-from esakia.nuclei import assembly_booleanization_check, tower
+from esakia.nuclei import assembly_booleanization_check, assembly_frame, tower
 from esakia.posets import FinitePoset
 from esakia.spaces import FiniteSpace, soberification
 
@@ -46,7 +51,9 @@ def phi_merging_top_into_bottom(monkeypatch):
         table[space.source.top] = table[space.source.bot]
         return tuple(table)
 
-    monkeypatch.setattr(duality, "phi_table", mutant)
+    # nuclei binds its own name for phi_table
+    for module in (duality, nuclei):
+        monkeypatch.setattr(module, "phi_table", mutant)
 
 
 def upset_algebra_upside_down(monkeypatch):
@@ -94,6 +101,26 @@ def u_sending_the_bottom_to_the_top_nucleus(monkeypatch):
     monkeypatch.setattr(nuclei, "make_u", mutant)
 
 
+def meet_closure_by_join(monkeypatch):
+    def mutant(top, generators):
+        rows = [top]
+        for g in generators:
+            rows += [row | g for row in rows]
+        return rows
+
+    monkeypatch.setattr(nuclei, "_meet_closure", mutant)
+
+
+def singleton_of_the_next_point(monkeypatch):
+    real = nuclei.from_nuclear_set
+
+    def mutant(space, mask):
+        turned = mask << 1 | mask >> space.n - 1
+        return real(space, turned & space.poset.full_mask)
+
+    monkeypatch.setattr(nuclei, "from_nuclear_set", mutant)
+
+
 def duality_flag(flag):
     return lambda: getattr(unit_counit_check(lat3()), flag)
 
@@ -139,9 +166,42 @@ MUTANTS = [
 ]
 
 
+# (row id, call on a fresh instance, corruption, the error's message)
+RAISING = [
+    (
+        "assembly-meet-closure-by-join",
+        lambda: assembly_frame(lat3()),
+        meet_closure_by_join,
+        "nuclear set round trip failed",
+    ),
+    (
+        "assembly-singleton-of-the-next-point",
+        lambda: assembly_frame(lat3()),
+        singleton_of_the_next_point,
+        "nuclear set round trip failed",
+    ),
+    (
+        "assembly-phi-against-birkhoff",
+        lambda: assembly_frame(lat3()),
+        phi_merging_top_into_bottom,
+        "phi disagrees with the Birkhoff masks",
+    ),
+]
+
+
 @pytest.mark.parametrize("flag,corrupt", [m[1:] for m in MUTANTS], ids=[m[0] for m in MUTANTS])
 def test_the_corruption_flips_the_flag(monkeypatch, flag, corrupt):
     # each read builds a fresh instance, so no memo carries a result over
     assert flag() is True
     corrupt(monkeypatch)
     assert flag() is False
+
+
+@pytest.mark.parametrize(
+    "call,corrupt,message", [m[1:] for m in RAISING], ids=[m[0] for m in RAISING]
+)
+def test_the_corruption_makes_the_check_raise(monkeypatch, call, corrupt, message):
+    call()
+    corrupt(monkeypatch)
+    with pytest.raises(NucleusError, match=message):
+        call()

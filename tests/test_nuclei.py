@@ -1,12 +1,14 @@
+import dataclasses
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from esakia import lattices, nuclei, spaces, sweeps
+from esakia import cli, lattices, nuclei, spaces, sweeps
 from esakia import posets as posets_module
-from esakia.duality import dual_space, phi, phi_inverse
+from esakia.duality import dual_space, phi, phi_inverse, phi_table
 from esakia.errors import NucleusError, SizeBoundError, SubsetError
 from esakia.lattices import (
     FiniteLattice,
@@ -133,6 +135,16 @@ def scan_to_nuclear_set(space, j):
         if pre == members:
             out |= 1 << k
     return out
+
+
+def phi_loop_to_nuclear_set(space, j):
+    """The value-table route: full & ~OR_a (phi(j(a)) ^ phi(a)), one
+    element at a time over the phi table."""
+    table = phi_table(space)
+    moved = 0
+    for v, t in zip(j.values, table):
+        moved |= table[v] ^ t
+    return space.poset.full_mask & ~moved
 
 
 def scan_from_nuclear_set(space, mask):
@@ -325,12 +337,71 @@ def test_nuclei_join_cross_check_reads_past_the_memo():
 
 
 def test_assembly_frame_catches_a_broken_round_trip(monkeypatch):
-    convert = nuclei.to_nuclear_set
+    kernel = nuclei._PackedRows.nuclear_set
     monkeypatch.setattr(
-        nuclei, "to_nuclear_set", lambda space, j: convert(space, j) ^ 1
+        nuclei._PackedRows, "nuclear_set", lambda self, row: kernel(self, row) ^ 1
     )
     with pytest.raises(NucleusError, match="nuclear set round trip failed"):
         assembly_frame(lat3())
+
+
+def assembly_frames():
+    """The Birkhoff lattice of each poset with n <= 5, then the open frame
+    of each topology with at most 4 points, each with its assembly."""
+    for n in range(6):
+        for p in enumerate_posets(n):
+            lat = birkhoff_lattice(p)
+            yield lat, assembly_frame(lat)
+    for n in range(5):
+        for s in enumerate_topologies(n):
+            lat = open_frame(s)
+            yield lat, assembly_frame(lat)
+
+
+def test_assembly_rows_match_the_value_table_routes():
+    frames = 0
+    for lat, asm in assembly_frames():
+        space, packed = asm.dual, nuclei._packed_rows(lat)
+        tables = [from_nuclear_set(space, m) for m in asm.sets]
+        assert asm.rows == tuple(packed.pack(j.values) for j in tables)
+        assert asm.nuclei == tuple(tables)
+        for row, j in zip(asm.rows, asm.nuclei):
+            assert packed.nuclear_set(row) == phi_loop_to_nuclear_set(space, j)
+            assert to_nuclear_set(space, j) == phi_loop_to_nuclear_set(space, j)
+        frames += 1
+    assert frames == 88 + 390
+
+
+def test_the_assembly_checks_never_unpack_the_rows(monkeypatch, capsys):
+    built = []
+
+    class Recorded(nuclei.AssemblyFrame):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(nuclei, "AssemblyFrame", Recorded)
+    small_posets = [p for n in range(5) for p in enumerate_posets(n)]
+    l3 = str(Path(__file__).parent / "fixtures" / "l3.json")
+    routes = {
+        suite: lambda suite=suite: all(
+            sweeps.POSET_SUITES[suite](p, birkhoff_lattice(p)) for p in small_posets
+        )
+        for suite in ("spatial", "boolean")
+    }
+    routes["simmons"] = lambda: all(
+        spaces.simmons_isbell_report(s).ok for n in range(4) for s in enumerate_topologies(n)
+    )
+    routes["tower"] = lambda: tower(lat3()).ok
+    routes["assembly --count"] = lambda: cli.main(["assembly", "--lattice", l3, "--count"]) == 0
+    for name, route in routes.items():
+        built.clear()
+        assert route(), name
+        assert built, name
+        assert not [asm for asm in built if "nuclei" in asm.__dict__], name
+    assert capsys.readouterr().out == "4\n"
+    # the pin is live: a read unpacks the rows and keeps the tables
+    assert built[0].nuclei and "nuclei" in built[0].__dict__
 
 
 def test_every_subset_is_nuclear_on_an_eleven_point_dual():
@@ -581,10 +652,19 @@ def test_assembly_sweep_check_fails_on_one_flipped_bit_of_a_packed_row(monkeypat
     poset = FinitePoset(["a", "b", "c"], [("a", "c"), ("b", "c")])
     lat = birkhoff_lattice(poset)
     assert sweeps._check_assembly(poset, lat)
-    rows = nuclei._packed_rows(lat)
-    flipped = {j.values: rows[j.values] for j in assembly_frame(lat).nuclei}
     # every nucleus sends the top to the top, so with one bit of that field
-    # gone the top nucleus is no longer above the others
-    flipped[top_nucleus(lat).values] ^= 1 << lat.top * lat.base.n
-    monkeypatch.setattr(sweeps, "_packed_rows", lambda lattice: flipped)
+    # gone the top nucleus is no longer above the others; the bit goes from
+    # the oracle's row and the assembly's alike, so the two lists of
+    # nuclei still agree and only the order can fail
+    top, bit = top_nucleus(lat).values, 1 << lat.top * lat.base.n
+    pack = nuclei._PackedRows.pack
+    monkeypatch.setattr(
+        nuclei._PackedRows,
+        "pack",
+        lambda self, values: pack(self, values) ^ (bit if tuple(values) == top else 0),
+    )
+    asm = assembly_frame(lat)
+    full = nuclei._packed_rows(lat).top
+    rows = tuple(row ^ bit if row == full else row for row in asm.rows)
+    lat._cache["assembly"] = dataclasses.replace(asm, rows=rows)
     assert not sweeps._check_assembly(poset, lat)
